@@ -1,7 +1,7 @@
 """Multi-threshold segmentation of NEQR-encoded grayscale images.
 
 Builds exact gate-level circuits (preparation, less-than comparator, band
-rewrites), simulates them on a dense statevector backend or an exact
+rewrites), simulates them on a sparse statevector backend or an exact
 basis-tracked backend, accounts gate costs against quoted closed forms, and
 round-trips circuits through an OpenQASM 2.0 subset.
 """
@@ -34,6 +34,7 @@ from .segmentation import (
     comparison_table,
     default_thresholds,
     pipeline_cost_formulas,
+    reference_pipeline,
 )
 from .statevector import (
     QuantumState,
@@ -100,6 +101,7 @@ __all__ = [
     "quantum_cost",
     "read_image_pgm",
     "records_to_csv",
+    "reference_pipeline",
     "run",
     "run_tracked",
     "sample_shots",

@@ -15,6 +15,7 @@ from .segmentation import (
     comparison_table,
     default_thresholds,
     pipeline_cost_formulas,
+    reference_pipeline,
 )
 from .statevector import ShotRecord, records_to_csv, sample_shots
 from .tracked import assert_no_collision, run_tracked
@@ -156,14 +157,12 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    from .segmentation import _reference_pipeline
-
     if args.q < 1:
         raise ValueError("--q must be at least 1")
     count = args.thresholds
     if count is None:
         count = 2 if (1 << args.q) - 1 >= 2 else 1
-    circuit = _reference_pipeline(args.q, count)
+    circuit = reference_pipeline(args.q, count)
     payload = _cost_payload(circuit, args.q, count)
     print(json.dumps(payload, indent=2))
     return 0

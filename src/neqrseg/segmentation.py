@@ -16,10 +16,11 @@ Rewritten levels must not fall below the threshold of their lower band edge
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, RegisterLayout, neg, pos
-from .comparator import ComparatorSpec, build_comparator
+from .comparator import ComparatorSpec, build_comparator, comparator_formula_cost
 from .cost import quantum_cost
 from .image import ImageGray
 from .neqr import build_preparation
@@ -190,7 +191,7 @@ def build_pipeline(
     q = layout.q
     count = len(config.thresholds)
     descending = tuple(reversed(config.thresholds))
-    seg_no = 1
+    segment = (f"segment-{i}" for i in itertools.count(1))
     previous_slot: int | None = None
     for k, threshold in enumerate(descending, start=1):
         slot = layout.results[(k - 1) % 2]
@@ -214,43 +215,26 @@ def build_pipeline(
         )
         if k == 1:
             circuit.extend(
-                build_s1(layout, config.levels[-1], stage=f"segment-{seg_no}", flag=slot)
+                build_s1(layout, config.levels[-1], stage=next(segment), flag=slot)
             )
-            seg_no += 1
-        elif k < count:
+        if k == count:
+            circuit.extend(
+                build_s2(layout, config.levels[0], stage=next(segment), flag=slot)
+            )
+        if k > 1:
             circuit.extend(
                 build_s3(
                     layout,
                     config.levels[count + 1 - k],
-                    stage=f"segment-{seg_no}",
+                    stage=next(segment),
                     upper_flag=previous_slot,
                     lower_flag=slot,
                 )
             )
-            seg_no += 1
-            with circuit.stage(f"reset-y-{k}"):
-                circuit.reset(previous_slot)
-        if k == count and count > 1:
-            circuit.extend(
-                build_s2(layout, config.levels[0], stage=f"segment-{seg_no}", flag=slot)
-            )
-            seg_no += 1
-            circuit.extend(
-                build_s3(
-                    layout,
-                    config.levels[1],
-                    stage=f"segment-{seg_no}",
-                    upper_flag=previous_slot,
-                    lower_flag=slot,
-                )
-            )
-            seg_no += 1
-        elif k == count:  # single threshold: bottom band right after the top
-            circuit.extend(
-                build_s2(layout, config.levels[0], stage=f"segment-{seg_no}", flag=slot)
-            )
-            seg_no += 1
         if k < count:
+            if k > 1:
+                with circuit.stage(f"reset-y-{k}"):
+                    circuit.reset(previous_slot)
             reset_stage = f"reset-T-{k}"
             with circuit.stage(reset_stage):
                 for tq in layout.threshold:
@@ -279,9 +263,7 @@ class PipelineCostFormulas:
 
 
 def pipeline_cost_formulas(q: int) -> PipelineCostFormulas:
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    comparator = 18 * q - 13
+    comparator = comparator_formula_cost(q)
     segmentation = 21 * q + 10
     threshold_init = 3 * q
     return PipelineCostFormulas(
@@ -306,7 +288,7 @@ class ComparisonRow:
     actual_cost: int | None = None
 
 
-def _reference_pipeline(q: int, count: int = 2) -> Circuit:
+def reference_pipeline(q: int, count: int = 2) -> Circuit:
     """Canonical pipeline used for measured costs; the image is irrelevant
     because preparation is never counted."""
     blank = ImageGray(1, q, (0,) * 4)
@@ -316,14 +298,13 @@ def _reference_pipeline(q: int, count: int = 2) -> Circuit:
 
 def comparison_table(q: int) -> list[ComparisonRow]:
     """Cross-algorithm cost comparison at gray depth ``q``."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    ours_total = pipeline_cost_formulas(q).total
     ours_actual = None
     if (1 << q) - 1 >= 2:
-        ours_actual = quantum_cost(_reference_pipeline(q)).actual_cost
+        ours_actual = quantum_cost(reference_pipeline(q)).actual_cost
     return [
         ComparisonRow("IS", 1, 3 * q - 1, 127 * q - 91, 2),
         ComparisonRow("NMQCIS", 1, 18, 48 * q - 6, 2),
         ComparisonRow("DQIS", 2, 5, 70 * q - 14, 2),
-        ComparisonRow("ours", 2, 4, 60 * q - 6, 3, actual_cost=ours_actual),
+        ComparisonRow("ours", 2, 4, ours_total, 3, actual_cost=ours_actual),
     ]

@@ -1,4 +1,4 @@
-"""Dense statevector simulator with measurement-based mid-circuit reset.
+"""Sparse statevector simulator with measurement-based mid-circuit reset.
 
 Everything here except H permutes computational basis states, so the one
 genuinely quantum move is the reset: a projective measurement of the target
@@ -7,22 +7,30 @@ to |0> when the outcome was 1.  A reset therefore collapses whatever the
 target was entangled with; per-shot faithfulness comes from re-running the
 whole circuit for every shot.
 
-The state is a dense complex vector indexed little endian (qubit j is bit j).
-Widths are capped at 26 qubits as a memory guard.  Every stochastic entry
+The state is stored as its support only: distinct int64 basis indices
+(little endian, qubit j is bit j) and their complex amplitudes.  Circuits are
+compiled once by :func:`neqrseg.tracked.compile_plan`; a permutation gate is
+the tracked backend's masked XOR on the indices, H splits each entry and
+merges partners, and a reset measures over the support.  :func:`run` scatters
+the support into a dense vector at the end, which is why widths are capped at
+26 qubits; :func:`sample_shots` keeps the same cap.  Every stochastic entry
 point takes an explicit seed and draws from ``numpy.random.default_rng``
-(PCG64); identical seeds give identical shot sequences, and each shot of
-``sample_shots`` derives its own generator from (seed, shot index) so shots
-are independent and order-insensitive.
+(PCG64): one draw per reset, then one final draw over the cumulative
+probabilities in basis-index order.  Identical seeds give identical shot
+sequences, and each shot of ``sample_shots`` derives its own generator from
+(seed, shot index) so shots are independent and order-insensitive.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .circuit import Circuit, GateKind
+from .tracked import PlanOp, apply_permutation, compile_plan
 
 MAX_WIDTH = 26
 NORM_TOL = 1e-10
@@ -46,56 +54,43 @@ class ShotRecord:
     probability: float
 
 
-def _check_width(width: int) -> None:
-    if width > MAX_WIDTH:
+def _check_inputs(circuit: Circuit, initial: int) -> None:
+    if circuit.width > MAX_WIDTH:
         raise ValueError(
-            f"width {width} exceeds the {MAX_WIDTH}-qubit statevector guard"
+            f"width {circuit.width} exceeds the {MAX_WIDTH}-qubit statevector guard"
+        )
+    if not 0 <= initial < (1 << circuit.width):
+        raise ValueError(
+            f"initial basis index {initial} does not fit width {circuit.width}"
         )
 
 
-def _compile(circuit: Circuit) -> list[tuple]:
-    """Precompute the slice tuples each op needs, once per circuit."""
-    w = circuit.width
-    plan: list[tuple] = []
-    for op in circuit.ops:
-        sel: list = [slice(None)] * w
-        for c in op.controls:
-            sel[w - 1 - c.qubit] = 1 if c.positive else 0
-        ax_t = w - 1 - op.target
-        s0, s1 = list(sel), list(sel)
-        s0[ax_t] = 0
-        s1[ax_t] = 1
-        tag = {GateKind.H: "h", GateKind.RESET: "reset"}.get(op.kind, "swap")
-        plan.append((tag, tuple(s0), tuple(s1)))
-    return plan
-
-
-def _norm_sq(amps: np.ndarray) -> float:
-    return float(np.vdot(amps, amps).real)
-
-
 def _execute(
-    plan: list[tuple],
-    width: int,
+    plan: Iterable[PlanOp],
     initial: int,
     rng: np.random.Generator,
     check_norm: bool,
-) -> np.ndarray:
-    amps = np.zeros(1 << width, dtype=np.complex128)
-    amps[initial] = 1.0
-    tensor = amps.reshape([2] * width)
-    for tag, s0, s1 in plan:
-        if tag == "swap":
-            tmp = tensor[s0].copy()
-            tensor[s0] = tensor[s1]
-            tensor[s1] = tmp
-        elif tag == "h":
-            a0 = tensor[s0].copy()
-            a1 = tensor[s1].copy()
-            tensor[s0] = (a0 + a1) * _INV_SQRT2
-            tensor[s1] = (a0 - a1) * _INV_SQRT2
-        else:  # reset = measure target, then flip the 1 outcome back to 0
-            p1 = float(np.vdot(tensor[s1], tensor[s1]).real)
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trajectory over the support: distinct basis indices, amplitudes."""
+    indices = np.array([initial], dtype=np.int64)
+    amps = np.ones(1, dtype=np.complex128)
+    for kind, target, mask, value in plan:
+        bit = 1 << target
+        if kind is GateKind.H:
+            # Pair each index with its partner across the target bit; a
+            # missing partner has amplitude 0.  Exact zeros leave the support.
+            base, slot = np.unique(indices & ~bit, return_inverse=True)
+            pair = np.zeros((len(base), 2), dtype=np.complex128)
+            pair[slot, indices >> target & 1] = amps
+            a0, a1 = pair.T
+            indices = np.concatenate((base, base | bit))
+            amps = np.concatenate(((a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2))
+            nonzero = amps != 0
+            indices, amps = indices[nonzero], amps[nonzero]
+        elif kind is GateKind.RESET:
+            # Measure the target, then flip the 1 outcome back to 0.
+            ones = (indices & bit) != 0
+            p1 = float(np.vdot(amps[ones], amps[ones]).real)
             outcome = 1 if rng.random() < p1 else 0
             p_keep = p1 if outcome else 1.0 - p1
             if p_keep < 1e-12:
@@ -103,27 +98,24 @@ def _execute(
                     "reset collapsed onto a zero-norm branch; "
                     "amplitude bookkeeping bug"
                 )
-            scale = 1.0 / math.sqrt(p_keep)
-            if outcome:
-                tensor[s0] = tensor[s1] * scale
-                tensor[s1] = 0.0
-            else:
-                tensor[s1] = 0.0
-                tensor[s0] *= scale
-        if check_norm and abs(_norm_sq(amps) - 1.0) > NORM_TOL:
+            keep = ones if outcome else ~ones
+            indices = indices[keep] & ~bit
+            amps = amps[keep] * (1.0 / math.sqrt(p_keep))
+        else:
+            indices = apply_permutation(indices, target, mask, value)
+        if check_norm and abs(float(np.vdot(amps, amps).real) - 1.0) > NORM_TOL:
             raise RuntimeError("state norm drifted beyond tolerance")
-    return amps
+    return indices, amps
 
 
 def run(circuit: Circuit, initial: int = 0, *, seed: int) -> QuantumState:
     """Simulate one trajectory from the basis state ``initial``."""
-    _check_width(circuit.width)
-    if not 0 <= initial < (1 << circuit.width):
-        raise ValueError(
-            f"initial basis index {initial} does not fit width {circuit.width}"
-        )
+    _check_inputs(circuit, initial)
     rng = np.random.default_rng(seed)
-    amps = _execute(_compile(circuit), circuit.width, initial, rng, check_norm=True)
+    plan = compile_plan(circuit)
+    indices, support_amps = _execute(plan, initial, rng, check_norm=True)
+    amps = np.zeros(1 << circuit.width, dtype=np.complex128)
+    amps[indices] = support_amps
     return QuantumState(amps, circuit.width, seed)
 
 
@@ -142,25 +134,23 @@ def sample_shots(
     (color, position) readout when the circuit has a layout, else by the full
     bitstring, and returned sorted by bitstring.
     """
-    _check_width(circuit.width)
+    _check_inputs(circuit, initial)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    if not 0 <= initial < (1 << circuit.width):
-        raise ValueError(
-            f"initial basis index {initial} does not fit width {circuit.width}"
-        )
-    plan = _compile(circuit)
+    plan = list(compile_plan(circuit))
     counter: Counter[str] = Counter()
     for shot in range(shots):
         rng = np.random.default_rng([seed, shot])
-        amps = _execute(plan, circuit.width, initial, rng, check_norm=False)
+        indices, amps = _execute(plan, initial, rng, check_norm=False)
+        order = np.argsort(indices)
+        indices, amps = indices[order], amps[order]
         probs = amps.real**2 + amps.imag**2
         total = probs.sum()
         if abs(total - 1.0) > NORM_TOL:
             raise RuntimeError("state norm drifted beyond tolerance")
         edges = np.cumsum(probs)
-        idx = int(np.searchsorted(edges, rng.random() * total, side="right"))
-        idx = min(idx, len(probs) - 1)
+        k = int(np.searchsorted(edges, rng.random() * total, side="right"))
+        idx = int(indices[min(k, len(probs) - 1)])
         counter[_record_key(circuit, idx)] += 1
     return [
         ShotRecord(bits, count, count / shots)
@@ -176,12 +166,11 @@ def probabilities(state: QuantumState, qubits: list[int]) -> dict[str, float]:
     if any(not 0 <= qb < state.width for qb in qubits):
         raise ValueError("qubit subset outside state width")
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    tensor = probs.reshape([2] * state.width)
-    keep = [state.width - 1 - qb for qb in qubits]
-    drop = tuple(ax for ax in range(state.width) if ax not in keep)
-    marginal = tensor.sum(axis=drop) if drop else tensor
-    order = [sorted(keep).index(ax) for ax in keep]
-    marginal = np.transpose(marginal, order).reshape(-1)
+    support = np.flatnonzero(probs)
+    keys = np.zeros(len(support), dtype=np.int64)
+    for qb in qubits:
+        keys = keys << 1 | (support >> qb & 1)
+    marginal = np.bincount(keys, probs[support], minlength=1 << len(qubits))
     if abs(marginal.sum() - 1.0) > NORM_TOL:
         raise RuntimeError("marginal does not sum to 1")
     digits = len(qubits)

@@ -1,10 +1,13 @@
-"""Exact basis-tracked backend for permutation circuits.
+"""Exact basis-tracked backend, and the sparse kernel both simulators share.
 
 After an H-only fan-out in the preparation stage, every branch of the
 superposition stays a classical bit vector: X/CNOT/TOFFOLI/MCX flip bits and
 RESET clears the target deterministically per branch.  The whole evolution is
-therefore a list of integer assignments with exact rational weights, with no
-sampling and no floating point.
+therefore an int64 array of basis indices, one per branch, with no sampling
+and no floating point; int64 is why widths above 62 qubits are refused.  All
+branches weigh 1/2^splits, so the weight is derived, never stored.  Circuits
+are compiled once by :func:`compile_plan`, and :func:`apply_permutation`
+applies a permutation gate to every index at once as one masked XOR.
 
 The bookkeeping is sound only while distinct branches carry distinct position
 tags; otherwise merging a reset incoherently could disagree with amplitude
@@ -16,8 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
+
+import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp, RegisterLayout
+
+MAX_TRACKED_WIDTH = 62
+
+PlanOp = tuple[GateKind, int, int, int]
 
 
 class CollisionError(ValueError):
@@ -34,22 +44,37 @@ def apply_to_basis(op: GateOp, assignment: int) -> int:
     return assignment ^ (1 << op.target)
 
 
+def compile_plan(circuit: Circuit) -> Iterator[PlanOp]:
+    """Encode each op as (kind, target qubit, control mask, control value).
+
+    A gate fires on basis index ``i`` exactly when ``i & mask == value``.
+    """
+    for op in circuit.ops:
+        mask = sum(1 << c.qubit for c in op.controls)
+        value = sum(1 << c.qubit for c in op.controls if c.positive)
+        yield op.kind, op.target, mask, value
+
+
+def apply_permutation(
+    indices: np.ndarray, target: int, mask: int, value: int
+) -> np.ndarray:
+    """Flip ``target`` in every index whose control bits match ``value``."""
+    fires = (indices & mask) == value
+    return indices ^ (fires.astype(np.int64) << target)
+
+
 @dataclass(frozen=True)
 class Branch:
     assignment: int
-    weight: Fraction
 
 
 @dataclass
 class BranchMap:
-    """Weighted set of classical branches of a tracked run."""
+    """Equally weighted set of classical branches of a tracked run."""
 
     width: int
     branches: tuple[Branch, ...]
     layout: RegisterLayout | None = None
-
-    def total_weight(self) -> Fraction:
-        return sum((b.weight for b in self.branches), Fraction(0))
 
     def _require_layout(self) -> RegisterLayout:
         if self.layout is None:
@@ -71,10 +96,11 @@ class BranchMap:
     def readout_distribution(self) -> dict[str, Fraction]:
         """Exact law of the (color, position) readout, keyed like histograms."""
         layout = self._require_layout()
+        weight = Fraction(1, len(self.branches))
         dist: dict[str, Fraction] = {}
         for b in self.branches:
             key = layout.readout_bitstring(b.assignment)
-            dist[key] = dist.get(key, Fraction(0)) + b.weight
+            dist[key] = dist.get(key, Fraction(0)) + weight
         return dist
 
 
@@ -94,13 +120,18 @@ def assert_no_collision(branch_map: BranchMap) -> None:
 
 
 def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
-    """Track a circuit exactly, branch by branch.
+    """Track a circuit exactly, all branches at once.
 
     H is accepted only inside the ``prep`` stage, at most once per qubit, on
     a qubit that is |0> in every branch (and, when the circuit has a layout,
     only on position qubits).  Anything else would make basis tracking
     unsound; such circuits belong on the statevector backend.
     """
+    if circuit.width > MAX_TRACKED_WIDTH:
+        raise ValueError(
+            f"width {circuit.width} exceeds the {MAX_TRACKED_WIDTH}-qubit limit "
+            "of int64 basis indices"
+        )
     if not 0 <= initial < (1 << circuit.width):
         raise ValueError(
             f"initial basis index {initial} does not fit width {circuit.width}"
@@ -110,43 +141,37 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
         if s.name == "prep":
             prep_start, prep_stop = s.start, s.stop
             break
-    branches = [initial]
-    splits = 0
+    branches = np.array([initial], dtype=np.int64)
     h_seen: set[int] = set()
-    for i, op in enumerate(circuit.ops):
-        if op.kind is GateKind.H:
+    for i, (kind, target, mask, value) in enumerate(compile_plan(circuit)):
+        if kind is GateKind.H:
             if not prep_start <= i < prep_stop:
                 raise ValueError(
                     "H outside the prep stage makes basis tracking unsound; "
                     "use the statevector backend for this circuit"
                 )
-            if circuit.layout is not None and op.target not in circuit.layout.position:
+            if circuit.layout is not None and target not in circuit.layout.position:
                 raise ValueError(
-                    f"prep-stage H must act on a position qubit, not q{op.target}"
+                    f"prep-stage H must act on a position qubit, not q{target}"
                 )
-            if op.target in h_seen:
+            if target in h_seen:
                 raise ValueError(
-                    f"second H on q{op.target} could interfere; "
+                    f"second H on q{target} could interfere; "
                     "use the statevector backend"
                 )
-            mask = 1 << op.target
-            if any(b & mask for b in branches):
+            bit = 1 << target
+            if np.any(branches & bit):
                 raise ValueError(
-                    f"H on q{op.target} requires the qubit to be |0> in every branch"
+                    f"H on q{target} requires the qubit to be |0> in every branch"
                 )
-            h_seen.add(op.target)
-            splits += 1
-            branches = [b | half for b in branches for half in (0, mask)]
-        elif op.kind is GateKind.RESET:
-            mask = ~(1 << op.target)
-            branches = [b & mask for b in branches]
+            h_seen.add(target)
+            branches = np.column_stack((branches, branches | bit)).ravel()
+        elif kind is GateKind.RESET:
+            branches = branches & ~(1 << target)
         else:
-            branches = [apply_to_basis(op, b) for b in branches]
-    weight = Fraction(1, 2**splits)
-    result = BranchMap(
+            branches = apply_permutation(branches, target, mask, value)
+    return BranchMap(
         width=circuit.width,
-        branches=tuple(Branch(b, weight) for b in branches),
+        branches=tuple(Branch(b) for b in branches.tolist()),
         layout=circuit.layout,
     )
-    assert result.total_weight() == 1
-    return result

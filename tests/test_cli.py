@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import neqrseg
 from neqrseg import ImageGray, parse_circuit_text, read_image_pgm, write_image_pgm
 from neqrseg.cli import _majority_image, main
 from neqrseg.statevector import ShotRecord
@@ -205,10 +208,14 @@ def test_majority_image_votes_and_disputes():
 
 
 def test_module_invocation_smoke():
+    # The child must import the same package as this process, installed or not.
+    src = str(Path(neqrseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "neqrseg", "cost", "--q", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["paperTotal"] == 174

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,10 +69,7 @@ def test_decode_missing_position():
     layout = RegisterLayout.standard(1, 1)
     only_three = BranchMap(
         layout.width,
-        tuple(
-            Branch(insert_bits(0, layout.position, p), Fraction(1, 4))
-            for p in range(3)
-        ),
+        tuple(Branch(insert_bits(0, layout.position, p)) for p in range(3)),
         layout,
     )
     with pytest.raises(ValueError, match="missing from the branch map"):
@@ -82,16 +78,13 @@ def test_decode_missing_position():
 
 def test_decode_needs_a_layout():
     with pytest.raises(ValueError, match="layout"):
-        decode(BranchMap(2, (Branch(0, Fraction(1)),)))
+        decode(BranchMap(2, (Branch(0),)))
 
 
 def test_decode_with_explicit_layout():
     layout = RegisterLayout.standard(1, 2)
     branches = tuple(
-        Branch(
-            insert_bits(insert_bits(0, layout.position, p), layout.color, p),
-            Fraction(1, 4),
-        )
+        Branch(insert_bits(insert_bits(0, layout.position, p), layout.color, p))
         for p in range(4)
     )
     bare = BranchMap(layout.width, branches)

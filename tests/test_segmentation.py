@@ -323,6 +323,8 @@ def test_pipeline_cost_formulas_q3():
     assert (f.comparator, f.segmentation, f.threshold_init) == (41, 73, 9)
     assert f.total == 174
     assert f.component_sum == 164
+    with pytest.raises(ValueError, match="q must be"):
+        pipeline_cost_formulas(0)
 
 
 def test_pipeline_formula_cost_matches_component_sum(sample_4x4, sample_config):
@@ -347,3 +349,5 @@ def test_comparison_table_q1_has_no_measured_cost():
     rows = {r.algorithm: r for r in comparison_table(1)}
     assert rows["DQIS"].quantum_cost == 56
     assert rows["ours"].actual_cost is None
+    with pytest.raises(ValueError, match="q must be"):
+        comparison_table(0)

@@ -1,12 +1,19 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import SAMPLE_4X4
 from neqrseg import (
     Circuit,
+    Control,
+    GateKind,
+    ImageGray,
     ShotRecord,
+    ThresholdConfig,
+    build_pipeline,
     neg,
     probabilities,
     records_to_csv,
@@ -162,3 +169,96 @@ def test_records_to_csv_layout():
         [ShotRecord("00", 3, 0.75), ShotRecord("11", 1, 0.25)]
     )
     assert text == "bitstring,count,probability\n00,3,0.75\n11,1,0.25\n"
+
+
+# -- dense reference ------------------------------------------------------
+#
+# The simulator keeps only the support of the state.  This reference keeps the
+# full 2^width vector, pairs every index whose target bit is 0 (and whose
+# controls fire) with its partner, and draws from the generator in the same
+# order: one draw per reset, then one over the cumulative probabilities.
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def dense_trajectory(circuit, rng, initial=0):
+    everything = np.arange(1 << circuit.width)
+    amps = np.zeros(1 << circuit.width, dtype=complex)
+    amps[initial] = 1.0
+    for op in circuit.ops:
+        bit = 1 << op.target
+        fires = everything & bit == 0
+        for c in op.controls:
+            fires &= (everything >> c.qubit & 1) == c.positive
+        lo = everything[fires]
+        hi = lo | bit
+        a0, a1 = amps[lo], amps[hi]
+        if op.kind is GateKind.H:
+            amps[lo], amps[hi] = (a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2
+        elif op.kind is GateKind.RESET:
+            p1 = float(np.vdot(a1, a1).real)
+            outcome = rng.random() < p1
+            scale = 1.0 / math.sqrt(p1 if outcome else 1.0 - p1)
+            amps[lo], amps[hi] = (a1 if outcome else a0) * scale, 0.0
+        else:
+            amps[lo], amps[hi] = a1, a0
+    return amps
+
+
+def dense_sample(circuit, shots, seed):
+    counter = Counter()
+    for shot in range(shots):
+        rng = np.random.default_rng([seed, shot])
+        amps = dense_trajectory(circuit, rng)
+        probs = amps.real**2 + amps.imag**2
+        edges = np.cumsum(probs)
+        idx = int(np.searchsorted(edges, rng.random() * probs.sum(), side="right"))
+        idx = min(idx, len(probs) - 1)
+        if circuit.layout is not None:
+            counter[circuit.layout.readout_bitstring(idx)] += 1
+        else:
+            counter[format(idx, f"0{circuit.width}b")] += 1
+    return [ShotRecord(b, n, n / shots) for b, n in sorted(counter.items())]
+
+
+def _random_mixed_circuit(rng, width, length):
+    """H anywhere (also twice in a row), mixed-polarity controls, resets."""
+    c = Circuit(width)
+    for _ in range(length):
+        roll = rng.random()
+        target = rng.randrange(width)
+        if roll < 0.15:
+            c.h(target)
+        elif roll < 0.2:
+            c.h(target).h(target)
+        elif roll < 0.35:
+            c.reset(target)
+        else:
+            others = [qb for qb in range(width) if qb != target]
+            wires = rng.sample(others, rng.randint(0, min(4, len(others))))
+            c.controlled_x([Control(qb, rng.random() < 0.5) for qb in wires], target)
+    return c
+
+
+def test_matches_dense_reference_on_random_circuits():
+    rng = random.Random(2105)
+    for case in range(60):
+        c = _random_mixed_circuit(rng, rng.randint(1, 10), rng.randint(1, 40))
+        expected = dense_trajectory(c, np.random.default_rng(case))
+        # The reset probability is summed over the support instead of the
+        # dense vector, so amplitudes may differ in the last bits.
+        assert np.allclose(amplitudes(c, seed=case), expected, rtol=0, atol=1e-12)
+        assert sample_shots(c, 16, seed=case) == dense_sample(c, 16, case)
+
+
+def test_matches_dense_reference_on_pipelines():
+    small = ImageGray(1, 2, (3, 0, 2, 1))
+    cases = [
+        (SAMPLE_4X4, ThresholdConfig.with_default_levels(3, (2, 4)), 64),
+        (small, ThresholdConfig.with_default_levels(2, (1, 3)), 256),
+    ]
+    for image, config, shots in cases:
+        pipe = build_pipeline(image, config)
+        expected = dense_trajectory(pipe, np.random.default_rng(0))
+        assert np.array_equal(amplitudes(pipe, seed=0), expected)
+        assert sample_shots(pipe, shots, seed=0) == dense_sample(pipe, shots, 0)
