@@ -45,7 +45,6 @@ from .statevector import (
     sample_shots,
 )
 from .tracked import (
-    Branch,
     BranchMap,
     CollisionError,
     apply_to_basis,
@@ -56,7 +55,6 @@ from .tracked import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
     "BranchMap",
     "Circuit",
     "CollisionError",

@@ -9,7 +9,7 @@ and survive text export/parse round trips.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -167,8 +167,12 @@ class RegisterLayout:
 
 
 def extract_bits(basis_index: int, qubits: Iterable[int]) -> int:
-    """Read the value of a register given MSB-first qubit indices."""
-    value = 0
+    """Read the value of a register given MSB-first qubit indices.
+
+    ``basis_index`` may be an int or an int64 index array; an array keeps its
+    shape even when the register is empty.
+    """
+    value = basis_index & 0
     for qb in qubits:
         value = value << 1 | (basis_index >> qb & 1)
     return value
@@ -185,19 +189,24 @@ def insert_bits(basis_index: int, qubits: Iterable[int], value: int) -> int:
 
 @dataclass(frozen=True)
 class Stage:
-    """Half-open span ``[start, stop)`` of ops belonging to a named stage."""
+    """Half-open span ``[start, stop)`` of ops belonging to a named stage.
+
+    ``quoted`` is the stage's closed-form cost as ``(formula name, value)``,
+    or None when no closed form is quoted for it.
+    """
 
     name: str
     start: int
     stop: int
+    quoted: tuple[str, int] | None = None
 
 
 class Circuit:
     """Ordered gate list over a fixed qubit count, with named stages.
 
     Builder methods return ``self`` so construction chains.  Stages must be
-    closed before the circuit is composed or exported; a stage name may be
-    annotated with a closed-form cost via :meth:`register_stage_formula`.
+    closed before the circuit is composed or exported; a stage may carry its
+    quoted closed-form cost, given when it is opened.
     """
 
     def __init__(self, width: int, layout: RegisterLayout | None = None):
@@ -211,7 +220,6 @@ class Circuit:
         self.layout = layout
         self.ops: list[GateOp] = []
         self.stages: list[Stage] = []
-        self.stage_formulas: dict[str, tuple[str, int]] = {}
         self._open_stage: str | None = None
         self._open_start = 0
 
@@ -257,7 +265,9 @@ class Circuit:
     # -- stages ------------------------------------------------------------
 
     @contextmanager
-    def stage(self, name: str) -> Iterator["Circuit"]:
+    def stage(
+        self, name: str, quoted: tuple[str, int] | None = None
+    ) -> Iterator["Circuit"]:
         """Open a named stage; ops appended inside the block belong to it."""
         if self._open_stage is not None:
             raise ValueError(f"stage {self._open_stage!r} is still open")
@@ -271,7 +281,7 @@ class Circuit:
             self._open_stage = None
             raise
         else:
-            self.stages.append(Stage(name, self._open_start, len(self.ops)))
+            self.stages.append(Stage(name, self._open_start, len(self.ops), quoted))
             self._open_stage = None
 
     def stage_named(self, name: str) -> Stage:
@@ -287,22 +297,14 @@ class Circuit:
         s = self.stage_named(name)
         return self.ops[s.start : s.stop]
 
-    def register_stage_formula(self, stage: str, formula: str, value: int) -> None:
-        """Attach a named closed-form cost to a stage for ledger reporting."""
-        if self._open_stage != stage:
-            self.stage_named(stage)
-        self.stage_formulas[stage] = (formula, value)
-
     def subcircuit(self, names: Iterable[str]) -> "Circuit":
         """New circuit holding only the named stages, in the order given."""
         sub = Circuit(self.width, self.layout)
         for name in names:
             span = self.stage_named(name)
-            with sub.stage(name):
+            with sub.stage(name, span.quoted):
                 for op in self.ops[span.start : span.stop]:
                     sub.append(op)
-            if name in self.stage_formulas:
-                sub.stage_formulas[name] = self.stage_formulas[name]
         return sub
 
     def without_stages(self, *names: str) -> "Circuit":
@@ -323,6 +325,5 @@ class Circuit:
         for s in fragment.stages:
             if any(mine.name == s.name for mine in self.stages):
                 raise ValueError(f"duplicate stage name {s.name!r}")
-            self.stages.append(Stage(s.name, s.start + offset, s.stop + offset))
-        self.stage_formulas.update(fragment.stage_formulas)
+            self.stages.append(replace(s, start=s.start + offset, stop=s.stop + offset))
         return self

@@ -95,11 +95,10 @@ def _majority_image(
     """
     votes: dict[int, dict[int, int]] = {}
     for r in records:
-        color = int(r.bitstring[:q], 2)
-        position = int(r.bitstring[q:], 2) if n else 0
-        votes.setdefault(position, {})[color] = (
-            votes.setdefault(position, {}).get(color, 0) + r.count
-        )
+        key = int(r.bitstring, 2)
+        color, position = key >> 2 * n, key & (4**n - 1)
+        tally = votes.setdefault(position, {})
+        tally[color] = tally.get(color, 0) + r.count
     pixels = []
     disputed = []
     for label in range(4**n):

@@ -59,7 +59,8 @@ def build_comparator(spec: ComparatorSpec, width: int | None = None) -> Circuit:
     y = spec.result
     q = spec.q
     circuit = Circuit(width)
-    with circuit.stage(spec.stage_name):
+    quoted = ("comparator-paper", comparator_formula_cost(q))
+    with circuit.stage(spec.stage_name, quoted):
         if q == 1:
             circuit.append(GateOp(GateKind.TOFFOLI, y, (neg(a[0]), pos(b[0]))))
         else:
@@ -83,7 +84,4 @@ def build_comparator(spec: ComparatorSpec, width: int | None = None) -> Circuit:
             circuit.ccx(tie, scratch, y)
             circuit.reset(scratch)
             circuit.reset(tie)
-    circuit.register_stage_formula(
-        spec.stage_name, "comparator-paper", comparator_formula_cost(q)
-    )
     return circuit

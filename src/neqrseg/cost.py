@@ -63,16 +63,6 @@ class GateCounts:
             + self.reset
         )
 
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(
-            self.single_qubit + other.single_qubit,
-            self.cnot + other.cnot,
-            self.toffoli + other.toffoli,
-            self.mcx + other.mcx,
-            self.reset + other.reset,
-            self.mcx_weight_total + other.mcx_weight_total,
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "singleQubit": self.single_qubit,
@@ -89,9 +79,10 @@ class CostLedger:
     """Per-stage counts plus the measured and formula-based totals.
 
     ``actual_cost`` is the weighted count over the counted stages;
-    ``formula_cost`` sums the closed-form values registered by the builders
-    for those stages; ``cost_by_formula`` breaks that sum down by formula
-    name.  The preparation stage never contributes to either total.
+    ``formula_cost`` sums the closed-form values quoted by those stages
+    (``Stage.quoted``, set by the builders); ``cost_by_formula`` breaks that
+    sum down by formula name.  The preparation stage never contributes to
+    either total.
     """
 
     stages: dict[str, GateCounts] = field(default_factory=dict)
@@ -134,11 +125,12 @@ def quantum_cost(
                 raise ValueError(f"unknown stage {name!r}")
         counted = [name for name in counted_stages if name != PREP_STAGE]
 
+    quotes = {s.name: s.quoted for s in circuit.stages if s.quoted is not None}
     ledger = CostLedger(stages=per_stage, counted=tuple(counted))
     for name in counted:
         ledger.actual_cost += per_stage.get(name, GateCounts()).actual_cost
-        if name in circuit.stage_formulas:
-            formula, value = circuit.stage_formulas[name]
+        if name in quotes:
+            formula, value = quotes[name]
             ledger.formula_cost += value
             ledger.cost_by_formula[formula] = (
                 ledger.cost_by_formula.get(formula, 0) + value

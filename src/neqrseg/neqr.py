@@ -7,6 +7,8 @@ controls carrying the position pattern through their polarities.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .circuit import Circuit, Control, RegisterLayout
 from .image import ImageGray
 from .tracked import BranchMap, assert_no_collision
@@ -48,17 +50,14 @@ def decode(branch_map: BranchMap, layout: RegisterLayout | None = None) -> Image
     layout = layout or branch_map.layout
     if layout is None:
         raise ValueError("decoding needs a register layout")
-    if branch_map.layout is not layout:
-        branch_map = BranchMap(branch_map.width, branch_map.branches, layout)
-    assert_no_collision(branch_map)
-    lookup = {
-        layout.position_value(b.assignment): layout.color_value(b.assignment)
-        for b in branch_map.branches
-    }
-    count = 4**layout.n
-    for label in range(count):
-        if label not in lookup:
-            raise ValueError(
-                f"position {label:0{2 * layout.n}b} missing from the branch map"
-            )
-    return ImageGray(layout.n, layout.q, tuple(lookup[i] for i in range(count)))
+    assert_no_collision(branch_map, layout)
+    pixels = np.full(4**layout.n, -1, dtype=np.int64)
+    pixels[layout.position_value(branch_map.branches)] = layout.color_value(
+        branch_map.branches
+    )
+    missing = np.flatnonzero(pixels < 0)
+    if missing.size:
+        raise ValueError(
+            f"position {int(missing[0]):0{2 * layout.n}b} missing from the branch map"
+        )
+    return ImageGray(layout.n, layout.q, tuple(pixels.tolist()))

@@ -10,6 +10,7 @@ closes a stage when unstaged ops follow.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from .circuit import Circuit, Control, GateKind, GateOp, Stage
 
@@ -68,8 +69,7 @@ def lower(circuit: Circuit) -> Circuit:
             out.append(low)
     index_map.append(len(out.ops))
     for s in circuit.stages:
-        out.stages.append(Stage(s.name, index_map[s.start], index_map[s.stop]))
-    out.stage_formulas.update(circuit.stage_formulas)
+        out.stages.append(replace(s, start=index_map[s.start], stop=index_map[s.stop]))
     return out
 
 

@@ -124,9 +124,8 @@ def build_s1(
     """Write ``level`` into the color register wherever ``flag`` is 0."""
     flag = layout.results[0] if flag is None else flag
     circuit = Circuit(layout.width)
-    with circuit.stage(stage):
+    with circuit.stage(stage, ("s1-paper", 7 * layout.q)):
         _conditional_write(circuit, layout, (neg(flag),), level, layout.cmp_aux[0])
-    circuit.register_stage_formula(stage, "s1-paper", 7 * layout.q)
     return circuit
 
 
@@ -140,9 +139,8 @@ def build_s2(
     """Write ``level`` into the color register wherever ``flag`` is 1."""
     flag = layout.results[1] if flag is None else flag
     circuit = Circuit(layout.width)
-    with circuit.stage(stage):
+    with circuit.stage(stage, ("s2-paper", 7 * layout.q)):
         _conditional_write(circuit, layout, (pos(flag),), level, layout.cmp_aux[0])
-    circuit.register_stage_formula(stage, "s2-paper", 7 * layout.q)
     return circuit
 
 
@@ -163,11 +161,10 @@ def build_s3(
     lower = layout.results[1] if lower_flag is None else lower_flag
     cond_aux, bit_aux = layout.cmp_aux
     circuit = Circuit(layout.width)
-    with circuit.stage(stage):
+    with circuit.stage(stage, ("s3-paper", 7 * layout.q + 10)):
         circuit.controlled_x((pos(upper), neg(lower)), cond_aux)
         _conditional_write(circuit, layout, (pos(cond_aux),), level, bit_aux)
         circuit.reset(cond_aux)
-    circuit.register_stage_formula(stage, "s3-paper", 7 * layout.q + 10)
     return circuit
 
 
@@ -195,12 +192,10 @@ def build_pipeline(
     previous_slot: int | None = None
     for k, threshold in enumerate(descending, start=1):
         slot = layout.results[(k - 1) % 2]
-        init_stage = f"init-T-{k}"
-        with circuit.stage(init_stage):
+        with circuit.stage(f"init-T-{k}", ("threshold-init-paper", q)):
             for j, tq in enumerate(layout.threshold):
                 if threshold >> (q - 1 - j) & 1:
                     circuit.x(tq)
-        circuit.register_stage_formula(init_stage, "threshold-init-paper", q)
         circuit.extend(
             build_comparator(
                 ComparatorSpec(
@@ -235,11 +230,9 @@ def build_pipeline(
             if k > 1:
                 with circuit.stage(f"reset-y-{k}"):
                     circuit.reset(previous_slot)
-            reset_stage = f"reset-T-{k}"
-            with circuit.stage(reset_stage):
+            with circuit.stage(f"reset-T-{k}", ("threshold-reset-paper", q)):
                 for tq in layout.threshold:
                     circuit.reset(tq)
-            circuit.register_stage_formula(reset_stage, "threshold-reset-paper", q)
         previous_slot = slot
     return circuit
 

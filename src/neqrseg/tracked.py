@@ -4,10 +4,12 @@ After an H-only fan-out in the preparation stage, every branch of the
 superposition stays a classical bit vector: X/CNOT/TOFFOLI/MCX flip bits and
 RESET clears the target deterministically per branch.  The whole evolution is
 therefore an int64 array of basis indices, one per branch, with no sampling
-and no floating point; int64 is why widths above 62 qubits are refused.  All
-branches weigh 1/2^splits, so the weight is derived, never stored.  Circuits
-are compiled once by :func:`compile_plan`, and :func:`apply_permutation`
-applies a permutation gate to every index at once as one masked XOR.
+and no floating point; int64 is why widths above 62 qubits are refused.  That
+array is the result: :class:`BranchMap` holds it read-only, and every query
+reads positions and colors off it in one vectorised pass.  All branches weigh
+1/2^splits, so the weight is derived, never stored.  Circuits are compiled
+once by :func:`compile_plan`, and :func:`apply_permutation` applies a
+permutation gate to every index at once as one masked XOR.
 
 The bookkeeping is sound only while distinct branches carry distinct position
 tags; otherwise merging a reset incoherently could disagree with amplitude
@@ -23,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp, RegisterLayout
+from .circuit import Circuit, GateKind, GateOp, RegisterLayout, extract_bits
 
 MAX_TRACKED_WIDTH = 62
 
@@ -63,17 +65,15 @@ def apply_permutation(
     return indices ^ (fires.astype(np.int64) << target)
 
 
-@dataclass(frozen=True)
-class Branch:
-    assignment: int
-
-
-@dataclass
+@dataclass(eq=False)
 class BranchMap:
-    """Equally weighted set of classical branches of a tracked run."""
+    """Equally weighted set of classical branches of a tracked run.
+
+    ``branches`` is an int64 array of basis indices, one per branch.
+    """
 
     width: int
-    branches: tuple[Branch, ...]
+    branches: np.ndarray
     layout: RegisterLayout | None = None
 
     def _require_layout(self) -> RegisterLayout:
@@ -81,42 +81,49 @@ class BranchMap:
             raise ValueError("branch map has no register layout")
         return self.layout
 
-    def position_color_pairs(self) -> list[tuple[int, int]]:
-        layout = self._require_layout()
-        return [
-            (layout.position_value(b.assignment), layout.color_value(b.assignment))
-            for b in self.branches
-        ]
-
     def position_color_map(self) -> dict[int, int]:
         """Position -> color lookup; collisions must be ruled out first."""
         assert_no_collision(self)
-        return dict(self.position_color_pairs())
+        layout = self._require_layout()
+        positions = layout.position_value(self.branches).tolist()
+        return dict(zip(positions, layout.color_value(self.branches).tolist()))
 
     def readout_distribution(self) -> dict[str, Fraction]:
         """Exact law of the (color, position) readout, keyed like histograms."""
-        layout = self._require_layout()
-        weight = Fraction(1, len(self.branches))
-        dist: dict[str, Fraction] = {}
-        for b in self.branches:
-            key = layout.readout_bitstring(b.assignment)
-            dist[key] = dist.get(key, Fraction(0)) + weight
-        return dist
+        qubits = self._require_layout().measurement_qubits
+        readout = extract_bits(self.branches, qubits)
+        values, first, counts = np.unique(
+            readout, return_index=True, return_counts=True
+        )
+        total = len(self.branches)
+        return {
+            format(int(values[i]), f"0{len(qubits)}b"): Fraction(int(counts[i]), total)
+            for i in np.argsort(first)
+        }
 
 
-def assert_no_collision(branch_map: BranchMap) -> None:
-    """Raise unless every branch carries a distinct position tag."""
-    layout = branch_map._require_layout()
-    seen: dict[int, int] = {}
-    for b in branch_map.branches:
-        p = layout.position_value(b.assignment)
-        if p in seen:
-            w = branch_map.width
-            raise CollisionError(
-                f"branches {seen[p]:0{w}b} and {b.assignment:0{w}b} share "
-                f"position tag {p:0{len(layout.position)}b}"
-            )
-        seen[p] = b.assignment
+def assert_no_collision(
+    branch_map: BranchMap, layout: RegisterLayout | None = None
+) -> None:
+    """Raise unless every branch carries a distinct position tag.
+
+    Tags are read through ``layout``, by default the map's own.
+    """
+    layout = layout or branch_map._require_layout()
+    positions = layout.position_value(branch_map.branches)
+    _, first = np.unique(positions, return_index=True)
+    if len(first) == len(positions):
+        return
+    repeat = np.ones(len(positions), dtype=bool)
+    repeat[first] = False
+    later = int(np.argmax(repeat))
+    p = int(positions[later])
+    earlier = int(branch_map.branches[np.argmax(positions == p)])
+    w = branch_map.width
+    raise CollisionError(
+        f"branches {earlier:0{w}b} and {int(branch_map.branches[later]):0{w}b} "
+        f"share position tag {p:0{len(layout.position)}b}"
+    )
 
 
 def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
@@ -170,8 +177,5 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
             branches = branches & ~(1 << target)
         else:
             branches = apply_permutation(branches, target, mask, value)
-    return BranchMap(
-        width=circuit.width,
-        branches=tuple(Branch(b) for b in branches.tolist()),
-        layout=circuit.layout,
-    )
+    branches.flags.writeable = False
+    return BranchMap(circuit.width, branches, circuit.layout)

@@ -120,7 +120,7 @@ def test_criterion_3_worked_pixel():
         start = insert_bits(start, layout.position, 0b0010)
         result = run_tracked(body_only, initial=start)
         assert len(result.branches) == 1
-        end = result.branches[0].assignment
+        end = int(result.branches[0])
         assert extract_bits(end, layout.color) == 0b000
         assert extract_bits(end, layout.position) == 0b0010
         assert extract_bits(end, layout.cmp_aux) == 0

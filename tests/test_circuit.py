@@ -100,13 +100,12 @@ def test_extend_merges_ops_stages_and_formulas():
     with host.stage("prep"):
         host.h(0)
     frag = Circuit(3)
-    with frag.stage("work"):
+    with frag.stage("work", ("demo", 5)):
         frag.ccx(0, 1, 2)
-    frag.register_stage_formula("work", "demo", 5)
     host.extend(frag)
     assert host.stage_names() == ["prep", "work"]
     assert host.stage_named("work").start == 1
-    assert host.stage_formulas["work"] == ("demo", 5)
+    assert host.stage_named("work").quoted == ("demo", 5)
     clash = Circuit(2)
     with clash.stage("prep"):
         pass

@@ -85,11 +85,11 @@ def test_comparator_in_superposition():
     )
     circuit.extend(build_comparator(spec, layout.width))
     for branch in run_tracked(circuit).branches:
-        color = layout.color_value(branch.assignment)
-        flag = extract_bits(branch.assignment, (layout.results[0],))
+        color = layout.color_value(int(branch))
+        flag = extract_bits(int(branch), (layout.results[0],))
         assert flag == int(color < threshold)
-        assert extract_bits(branch.assignment, layout.threshold) == threshold
-        assert extract_bits(branch.assignment, layout.cmp_aux) == 0
+        assert extract_bits(int(branch), layout.threshold) == threshold
+        assert extract_bits(int(branch), layout.cmp_aux) == 0
 
 
 def test_formula_values():
@@ -102,7 +102,7 @@ def test_formula_values():
 
 def test_formula_registered_on_stage():
     circuit = build_comparator(default_spec(2))
-    assert circuit.stage_formulas["compare"] == ("comparator-paper", 23)
+    assert circuit.stage_named("compare").quoted == ("comparator-paper", 23)
 
 
 def test_spec_validation():

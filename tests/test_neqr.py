@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from neqrseg import (
-    Branch,
     BranchMap,
     GateKind,
     ImageGray,
@@ -69,7 +68,7 @@ def test_decode_missing_position():
     layout = RegisterLayout.standard(1, 1)
     only_three = BranchMap(
         layout.width,
-        tuple(Branch(insert_bits(0, layout.position, p)) for p in range(3)),
+        np.array([insert_bits(0, layout.position, p) for p in range(3)]),
         layout,
     )
     with pytest.raises(ValueError, match="missing from the branch map"):
@@ -78,15 +77,15 @@ def test_decode_missing_position():
 
 def test_decode_needs_a_layout():
     with pytest.raises(ValueError, match="layout"):
-        decode(BranchMap(2, (Branch(0),)))
+        decode(BranchMap(2, np.array([0])))
 
 
 def test_decode_with_explicit_layout():
     layout = RegisterLayout.standard(1, 2)
-    branches = tuple(
-        Branch(insert_bits(insert_bits(0, layout.position, p), layout.color, p))
+    branches = np.array([
+        insert_bits(insert_bits(0, layout.position, p), layout.color, p)
         for p in range(4)
-    )
+    ])
     bare = BranchMap(layout.width, branches)
     assert decode(bare, layout) == ImageGray(1, 2, (0, 1, 2, 3))
 

@@ -161,9 +161,9 @@ def test_s3_rewrites_only_upper_and_not_lower(level):
 
 
 def test_band_circuit_formula_registrations():
-    assert build_s1(LAYOUT, 1).stage_formulas["segment-1"] == ("s1-paper", 21)
-    assert build_s2(LAYOUT, 1).stage_formulas["segment-2"] == ("s2-paper", 21)
-    assert build_s3(LAYOUT, 1).stage_formulas["segment-3"] == ("s3-paper", 31)
+    assert build_s1(LAYOUT, 1).stage_named("segment-1").quoted == ("s1-paper", 21)
+    assert build_s2(LAYOUT, 1).stage_named("segment-2").quoted == ("s2-paper", 21)
+    assert build_s3(LAYOUT, 1).stage_named("segment-3").quoted == ("s3-paper", 31)
 
 
 def test_band_circuit_flag_overrides():
@@ -296,8 +296,8 @@ def test_flag_pair_never_reads_below_only(sample_4x4, sample_config):
     upper, lower = pipe.layout.results
     for branch in run_tracked(prefix).branches:
         bits = (
-            extract_bits(branch.assignment, (upper,)),
-            extract_bits(branch.assignment, (lower,)),
+            extract_bits(int(branch), (upper,)),
+            extract_bits(int(branch), (lower,)),
         )
         assert bits != (0, 1), branch
 

@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from neqrseg import (
-    Branch,
     BranchMap,
     Circuit,
     CollisionError,
@@ -18,6 +19,7 @@ from neqrseg import (
     build_pipeline,
     build_preparation,
     classical_segment,
+    decode,
     insert_bits,
     pos,
     run_tracked,
@@ -95,7 +97,7 @@ def test_reset_clears_bit_in_every_branch():
         c.h(0)
     c.cx(0, 1).reset(0)
     result = run_tracked(c)
-    assignments = sorted(b.assignment for b in result.branches)
+    assignments = sorted(int(b) for b in result.branches)
     assert assignments == [0b00, 0b10]
 
 
@@ -113,7 +115,7 @@ def test_permutation_part_is_reversible():
     for op in reversed(body):
         c.append(op)
     result = run_tracked(c)
-    assert sorted(b.assignment for b in result.branches) == [0b00, 0b01, 0b10, 0b11]
+    assert sorted(int(b) for b in result.branches) == [0b00, 0b01, 0b10, 0b11]
 
 
 def test_initial_assignment_range_checked():
@@ -131,21 +133,67 @@ def test_collision_detection():
     at = lambda position, color: insert_bits(
         insert_bits(0, layout.position, position), layout.color, color
     )
-    clean = BranchMap(layout.width, (Branch(at(0, 0)), Branch(at(1, 0))), layout)
+    clean = BranchMap(layout.width, np.array([at(0, 0), at(1, 0)]), layout)
     assert_no_collision(clean)
-    colliding = BranchMap(
-        layout.width, (Branch(at(1, 0)), Branch(at(1, 1))), layout
-    )
+    colliding = BranchMap(layout.width, np.array([at(1, 0), at(1, 1)]), layout)
     with pytest.raises(CollisionError, match="position tag 01"):
         assert_no_collision(colliding)
     with pytest.raises(CollisionError):
         colliding.position_color_map()
+    with pytest.raises(CollisionError):
+        decode(colliding)
+
+
+def test_array_queries_match_per_branch_loops():
+    """The vectorised queries agree with per-branch loops over the indices."""
+    rng = random.Random(3)
+    for _ in range(200):
+        layout = RegisterLayout.standard(rng.randint(0, 2), rng.randint(1, 3))
+        count = 4**layout.n
+        positions = (
+            rng.sample(range(count), rng.randint(1, count))
+            if rng.random() < 0.5
+            else [rng.randrange(count) for _ in range(rng.randint(1, 2 * count))]
+        )
+        indices = [
+            insert_bits(rng.randrange(1 << layout.width), layout.position, p)
+            for p in positions
+        ]
+        branch_map = BranchMap(layout.width, np.array(indices), layout)
+
+        law: dict[str, Fraction] = {}
+        for b in indices:
+            key = layout.readout_bitstring(b)
+            law[key] = law.get(key, Fraction(0)) + Fraction(1, len(indices))
+        assert list(branch_map.readout_distribution().items()) == list(law.items())
+
+        seen: dict[int, int] = {}
+        for b in indices:
+            p = layout.position_value(b)
+            if p in seen:
+                w = layout.width
+                message = (
+                    f"branches {seen[p]:0{w}b} and {b:0{w}b} share "
+                    f"position tag {p:0{2 * layout.n}b}"
+                )
+                with pytest.raises(CollisionError) as caught:
+                    assert_no_collision(branch_map)
+                assert str(caught.value) == message
+                break
+            seen[p] = b
+        else:
+            lookup = {p: layout.color_value(b) for p, b in seen.items()}
+            assert branch_map.position_color_map() == lookup
+            if len(lookup) == count:
+                assert decode(branch_map).pixels == tuple(
+                    lookup[p] for p in range(count)
+                )
 
 
 def test_layout_required_for_position_queries():
-    bare = BranchMap(2, (Branch(0),))
+    bare = BranchMap(2, np.array([0]))
     with pytest.raises(ValueError, match="layout"):
-        bare.position_color_pairs()
+        bare.position_color_map()
 
 
 def test_readout_distribution_sums_to_one(sample_4x4, sample_config):
