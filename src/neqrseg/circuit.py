@@ -4,12 +4,13 @@ Qubit ``j`` is bit ``j`` of a basis-state index (little endian).  Register
 tuples in :class:`RegisterLayout` list qubit indices most significant bit
 first, so ``color[0]`` is the high bit of the gray value.  Stages are named,
 contiguous, non-overlapping spans of the op list; they drive cost accounting
-and survive text export/parse round trips.
+and survive text export/parse round trips, which is why a stage name must be
+non-empty and free of whitespace.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -49,35 +50,45 @@ _FIXED_ARITY = {
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate (or reset) acting on a target qubit with optional controls."""
+    """One gate (or reset) acting on a target qubit with optional controls.
+
+    ``mask`` has the bit of every control qubit set and ``value`` the bit of
+    every positive one; the gate fires on basis index ``i`` exactly when
+    ``i & mask == value``.  Both are derived once, when the op is checked.
+    """
 
     kind: GateKind
     target: int
     controls: tuple[Control, ...] = ()
+    mask: int = field(init=False, repr=False, compare=False)
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "controls", tuple(Control(c[0], bool(c[1])) for c in self.controls)
-        )
         n = len(self.controls)
-        if self.kind in _FIXED_ARITY:
-            want = _FIXED_ARITY[self.kind]
-            if n != want:
-                raise ValueError(
-                    f"{self.kind.name} takes exactly {want} control(s), got {n}"
-                )
-        elif self.kind is GateKind.MCX:
-            if n < 3:
-                raise ValueError(
-                    "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"
-                )
-        qubits = [c.qubit for c in self.controls]
-        if len(set(qubits)) != len(qubits):
-            raise ValueError("control qubits must be distinct")
-        if self.target in qubits:
-            raise ValueError("target qubit may not also be a control")
-        if self.target < 0 or any(q < 0 for q in qubits):
+        want = _FIXED_ARITY.get(self.kind)
+        if want is not None and n != want:
+            raise ValueError(
+                f"{self.kind.name} takes exactly {want} control(s), got {n}"
+            )
+        if self.kind is GateKind.MCX and n < 3:
+            raise ValueError(
+                "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"
+            )
+        if self.target < 0:
             raise ValueError("qubit indices must be non-negative")
+        mask = value = 0
+        for qubit, positive in self.controls:
+            if qubit < 0:
+                raise ValueError("qubit indices must be non-negative")
+            mask |= 1 << qubit
+            if positive:
+                value |= 1 << qubit
+        if mask.bit_count() != n:
+            raise ValueError("control qubits must be distinct")
+        if mask >> self.target & 1:
+            raise ValueError("target qubit may not also be a control")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "value", value)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -229,9 +240,9 @@ class Circuit:
     # -- construction ------------------------------------------------------
 
     def append(self, op: GateOp) -> "Circuit":
-        for qb in op.qubits:
-            if qb >= self.width:
-                raise ValueError(f"qubit q{qb} outside circuit of width {self.width}")
+        if (op.mask | 1 << op.target) >> self.width:
+            qb = next(qb for qb in op.qubits if qb >= self.width)
+            raise ValueError(f"qubit q{qb} outside circuit of width {self.width}")
         self.ops.append(op)
         return self
 
@@ -271,6 +282,8 @@ class Circuit:
         """Open a named stage; ops appended inside the block belong to it."""
         if self._open_stage is not None:
             raise ValueError(f"stage {self._open_stage!r} is still open")
+        if name.split() != [name]:
+            raise ValueError(f"stage name {name!r} is empty or holds whitespace")
         if any(s.name == name for s in self.stages):
             raise ValueError(f"duplicate stage name {name!r}")
         self._open_stage = name
@@ -303,8 +316,7 @@ class Circuit:
         for name in names:
             span = self.stage_named(name)
             with sub.stage(name, span.quoted):
-                for op in self.ops[span.start : span.stop]:
-                    sub.append(op)
+                sub.ops.extend(self.ops[span.start : span.stop])
         return sub
 
     def without_stages(self, *names: str) -> "Circuit":
@@ -320,8 +332,7 @@ class Circuit:
         if fragment.width > self.width:
             raise ValueError("fragment is wider than the host circuit")
         offset = len(self.ops)
-        for op in fragment.ops:
-            self.append(op)
+        self.ops.extend(fragment.ops)
         for s in fragment.stages:
             if any(mine.name == s.name for mine in self.stages):
                 raise ValueError(f"duplicate stage name {s.name!r}")

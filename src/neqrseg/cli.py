@@ -114,6 +114,8 @@ def _majority_image(
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    if args.histogram is not None and args.backend != "statevector":
+        raise ValueError("--histogram needs --backend statevector")
     data = Path(args.input).read_bytes()
     image = read_image_pgm(data)
     thresholds = _thresholds_from_args(args)
@@ -144,8 +146,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
     Path(args.out).write_bytes(write_image_pgm(result))
     if args.histogram is not None:
-        if records is None:
-            raise ValueError("--histogram needs --backend statevector")
         Path(args.histogram).write_text(records_to_csv(records))
     if args.cost_report is not None:
         payload = _cost_payload(circuit, image.q, len(config.thresholds))

@@ -38,7 +38,7 @@ class GateCounts:
     mcx_weight_total: int = 0
 
     def count(self, op: GateOp) -> None:
-        self.single_qubit += 2 * sum(1 for c in op.controls if not c.positive)
+        self.single_qubit += 2 * (op.mask ^ op.value).bit_count()
         if op.kind in (GateKind.H, GateKind.X):
             self.single_qubit += 1
         elif op.kind is GateKind.CNOT:

@@ -5,7 +5,7 @@ register ``q``.  Negative controls are lowered to X-flanked positive controls
 and multi-controlled X gates are expanded through a borrowed-ancilla Toffoli
 ladder, so every exported line is directly executable.  ``// stage:<name>``
 comments mark stage starts and are recovered on parsing; a bare ``// stage:``
-closes a stage when unstaged ops follow.
+closes a stage when unstaged ops follow, and a repeated name is an error.
 """
 from __future__ import annotations
 
@@ -124,7 +124,10 @@ def parse_circuit_text(text: str) -> Circuit:
         if line.startswith("//"):
             m = _STAGE_RE.match(line)
             if m:
-                events.append((len(ops), m.group(1) or None))
+                name = m.group(1) or None
+                if name is not None and any(seen == name for _, seen in events):
+                    raise QasmParseError(line_no, f"repeated stage marker {name!r}")
+                events.append((len(ops), name))
             continue
         if line.startswith("OPENQASM") or line.startswith("include"):
             continue
@@ -175,8 +178,7 @@ def parse_circuit_text(text: str) -> Circuit:
     if width is None:
         raise QasmParseError(1, "missing qreg declaration")
     circuit = Circuit(width)
-    for op in ops:
-        circuit.append(op)
+    circuit.ops.extend(ops)  # every qubit was checked against the qreg
     open_name: str | None = None
     open_start = 0
     for at, name in events:

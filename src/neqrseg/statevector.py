@@ -8,17 +8,18 @@ target was entangled with; per-shot faithfulness comes from re-running the
 whole circuit for every shot.
 
 The state is stored as its support only: distinct int64 basis indices
-(little endian, qubit j is bit j) and their complex amplitudes.  Circuits are
-compiled once by :func:`neqrseg.tracked.compile_plan`; a permutation gate is
-the tracked backend's masked XOR on the indices, H splits each entry and
-merges partners, and a reset measures over the support.  :func:`run` scatters
-the support into a dense vector at the end, which is why widths are capped at
-26 qubits; :func:`sample_shots` keeps the same cap.  Every stochastic entry
-point takes an explicit seed and draws from ``numpy.random.default_rng``
-(PCG64): one draw per reset, then one final draw over the cumulative
-probabilities in basis-index order.  Identical seeds give identical shot
-sequences, and each shot of ``sample_shots`` derives its own generator from
-(seed, shot index) so shots are independent and order-insensitive.
+(little endian, qubit j is bit j) and their complex amplitudes.  The
+circuit's ops are read as they stand: a permutation gate is the tracked
+backend's masked XOR (:func:`neqrseg.tracked.apply_permutation`) on the
+indices, H splits each entry and merges partners, and a reset measures over
+the support.  :func:`run` scatters the support into a dense vector at the
+end, which is why widths are capped at 26 qubits; :func:`sample_shots` keeps
+the same cap.  Every stochastic entry point takes an explicit seed and draws
+from ``numpy.random.default_rng`` (PCG64): one draw per reset, then one final
+draw over the cumulative probabilities in basis-index order.  Identical seeds
+give identical shot sequences, and each shot of ``sample_shots`` derives its
+own generator from (seed, shot index) so shots are independent and
+order-insensitive.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
-from .tracked import PlanOp, apply_permutation, compile_plan
+from .circuit import Circuit, GateKind, GateOp, extract_bits
+from .tracked import apply_permutation
 
 MAX_WIDTH = 26
 NORM_TOL = 1e-10
@@ -66,7 +67,7 @@ def _check_inputs(circuit: Circuit, initial: int) -> None:
 
 
 def _execute(
-    plan: Iterable[PlanOp],
+    ops: Iterable[GateOp],
     initial: int,
     rng: np.random.Generator,
     check_norm: bool,
@@ -74,7 +75,8 @@ def _execute(
     """One trajectory over the support: distinct basis indices, amplitudes."""
     indices = np.array([initial], dtype=np.int64)
     amps = np.ones(1, dtype=np.complex128)
-    for kind, target, mask, value in plan:
+    for op in ops:
+        kind, target = op.kind, op.target
         bit = 1 << target
         if kind is GateKind.H:
             # Pair each index with its partner across the target bit; a
@@ -102,7 +104,7 @@ def _execute(
             indices = indices[keep] & ~bit
             amps = amps[keep] * (1.0 / math.sqrt(p_keep))
         else:
-            indices = apply_permutation(indices, target, mask, value)
+            indices = apply_permutation(indices, op)
         if check_norm and abs(float(np.vdot(amps, amps).real) - 1.0) > NORM_TOL:
             raise RuntimeError("state norm drifted beyond tolerance")
     return indices, amps
@@ -112,8 +114,7 @@ def run(circuit: Circuit, initial: int = 0, *, seed: int) -> QuantumState:
     """Simulate one trajectory from the basis state ``initial``."""
     _check_inputs(circuit, initial)
     rng = np.random.default_rng(seed)
-    plan = compile_plan(circuit)
-    indices, support_amps = _execute(plan, initial, rng, check_norm=True)
+    indices, support_amps = _execute(circuit.ops, initial, rng, check_norm=True)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[indices] = support_amps
     return QuantumState(amps, circuit.width, seed)
@@ -137,11 +138,10 @@ def sample_shots(
     _check_inputs(circuit, initial)
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    plan = list(compile_plan(circuit))
     counter: Counter[str] = Counter()
     for shot in range(shots):
         rng = np.random.default_rng([seed, shot])
-        indices, amps = _execute(plan, initial, rng, check_norm=False)
+        indices, amps = _execute(circuit.ops, initial, rng, check_norm=False)
         order = np.argsort(indices)
         indices, amps = indices[order], amps[order]
         probs = amps.real**2 + amps.imag**2
@@ -167,9 +167,7 @@ def probabilities(state: QuantumState, qubits: list[int]) -> dict[str, float]:
         raise ValueError("qubit subset outside state width")
     probs = state.amplitudes.real**2 + state.amplitudes.imag**2
     support = np.flatnonzero(probs)
-    keys = np.zeros(len(support), dtype=np.int64)
-    for qb in qubits:
-        keys = keys << 1 | (support >> qb & 1)
+    keys = extract_bits(support, qubits)
     marginal = np.bincount(keys, probs[support], minlength=1 << len(qubits))
     if abs(marginal.sum() - 1.0) > NORM_TOL:
         raise RuntimeError("marginal does not sum to 1")

@@ -7,9 +7,10 @@ therefore an int64 array of basis indices, one per branch, with no sampling
 and no floating point; int64 is why widths above 62 qubits are refused.  That
 array is the result: :class:`BranchMap` holds it read-only, and every query
 reads positions and colors off it in one vectorised pass.  All branches weigh
-1/2^splits, so the weight is derived, never stored.  Circuits are compiled
-once by :func:`compile_plan`, and :func:`apply_permutation` applies a
-permutation gate to every index at once as one masked XOR.
+1/2^splits, so the weight is derived, never stored.  Each op carries its
+control mask and value (:class:`~neqrseg.circuit.GateOp`), and
+:func:`apply_permutation` applies a permutation gate to every index at once as
+one masked XOR.
 
 The bookkeeping is sound only while distinct branches carry distinct position
 tags; otherwise merging a reset incoherently could disagree with amplitude
@@ -21,15 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp, RegisterLayout, extract_bits
 
 MAX_TRACKED_WIDTH = 62
-
-PlanOp = tuple[GateKind, int, int, int]
 
 
 class CollisionError(ValueError):
@@ -46,23 +44,10 @@ def apply_to_basis(op: GateOp, assignment: int) -> int:
     return assignment ^ (1 << op.target)
 
 
-def compile_plan(circuit: Circuit) -> Iterator[PlanOp]:
-    """Encode each op as (kind, target qubit, control mask, control value).
-
-    A gate fires on basis index ``i`` exactly when ``i & mask == value``.
-    """
-    for op in circuit.ops:
-        mask = sum(1 << c.qubit for c in op.controls)
-        value = sum(1 << c.qubit for c in op.controls if c.positive)
-        yield op.kind, op.target, mask, value
-
-
-def apply_permutation(
-    indices: np.ndarray, target: int, mask: int, value: int
-) -> np.ndarray:
-    """Flip ``target`` in every index whose control bits match ``value``."""
-    fires = (indices & mask) == value
-    return indices ^ (fires.astype(np.int64) << target)
+def apply_permutation(indices: np.ndarray, op: GateOp) -> np.ndarray:
+    """Flip the target in every index where ``index & op.mask == op.value``."""
+    fires = (indices & op.mask) == op.value
+    return indices ^ (fires.astype(np.int64) << op.target)
 
 
 @dataclass(eq=False)
@@ -150,7 +135,8 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
             break
     branches = np.array([initial], dtype=np.int64)
     h_seen: set[int] = set()
-    for i, (kind, target, mask, value) in enumerate(compile_plan(circuit)):
+    for i, op in enumerate(circuit.ops):
+        kind, target = op.kind, op.target
         if kind is GateKind.H:
             if not prep_start <= i < prep_stop:
                 raise ValueError(
@@ -176,6 +162,6 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
         elif kind is GateKind.RESET:
             branches = branches & ~(1 << target)
         else:
-            branches = apply_permutation(branches, target, mask, value)
+            branches = apply_permutation(branches, op)
     branches.flags.writeable = False
     return BranchMap(circuit.width, branches, circuit.layout)

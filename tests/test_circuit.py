@@ -43,6 +43,8 @@ def test_append_checks_width():
     assert len(c) == 2
     with pytest.raises(ValueError):
         c.x(2)
+    with pytest.raises(ValueError, match="q2 outside circuit of width 2"):
+        c.cx(2, 0)
 
 
 def test_controlled_x_kind_selection():
@@ -79,6 +81,10 @@ def test_stage_reopen_and_nesting_rejected():
     with pytest.raises(ValueError):
         with c.stage("a"):
             pass
+    for bad in ("", "a b"):
+        with pytest.raises(ValueError, match="whitespace"):
+            with c.stage(bad):
+                pass
 
 
 def test_subcircuit_and_without_stages():

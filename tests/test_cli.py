@@ -102,6 +102,7 @@ def test_histogram_requires_statevector(tmp_path, sample_pgm, capsys):
     )
     assert code == 1
     assert "statevector" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cost_report_and_qasm_export(tmp_path, sample_pgm):

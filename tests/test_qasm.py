@@ -172,6 +172,11 @@ def test_mcx_without_room_is_rejected():
         ("OPENQASM 2.0;\nqreg q[2];\nx q[0]\n", 3, "malformed"),
         ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n", 3, "also be a control"),
         ("OPENQASM 2.0;\n", 1, "missing qreg"),
+        (
+            "OPENQASM 2.0;\nqreg q[1];\n// stage:a\nx q[0];\n// stage:a\nx q[0];\n",
+            5,
+            "repeated stage marker",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

@@ -9,6 +9,7 @@ from neqrseg import (
     BranchMap,
     Circuit,
     CollisionError,
+    Control,
     GateKind,
     GateOp,
     ImageGray,
@@ -25,6 +26,7 @@ from neqrseg import (
     run_tracked,
     sample_shots,
 )
+from neqrseg.tracked import apply_permutation
 
 
 def test_apply_to_basis_refuses_non_permutations():
@@ -38,6 +40,25 @@ def test_apply_to_basis_controls():
     op = GateOp(GateKind.TOFFOLI, 2, (pos(0), pos(1)))
     assert apply_to_basis(op, 0b011) == 0b111
     assert apply_to_basis(op, 0b001) == 0b001
+
+
+def test_kernel_matches_reference_gate():
+    rng = random.Random(5)
+    width = 8
+    indices = np.arange(1 << width, dtype=np.int64)
+    for _ in range(300):
+        count = rng.randint(0, 5)
+        kind = {0: GateKind.X, 1: GateKind.CNOT, 2: GateKind.TOFFOLI}.get(
+            count, GateKind.MCX
+        )
+        wires = rng.sample(range(width), count + 1)
+        op = GateOp(
+            kind, wires[0], tuple(Control(w, rng.random() < 0.5) for w in wires[1:])
+        )
+        assert op.mask.bit_count() == len(op.controls)
+        assert op.value & ~op.mask == 0
+        flipped = apply_permutation(indices, op).tolist()
+        assert flipped == [apply_to_basis(op, i) for i in range(1 << width)]
 
 
 def test_prep_only_run_reproduces_the_image(sample_4x4):
