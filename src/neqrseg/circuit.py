@@ -1,7 +1,9 @@
 """Gate-level circuit representation with register roles, stages and composition.
 
-Qubit ``j`` is bit ``j`` of a basis-state index (little endian).  Register
-tuples in :class:`RegisterLayout` list qubit indices most significant bit
+Qubit ``j`` is bit ``j`` of a basis-state index (little endian).  The wiring
+is fixed by the image size: :class:`RegisterLayout` derives it from ``(n, q)``
+with position in the low wires, then color, threshold, comparator aux and the
+result pair.  Its register tuples list qubit indices most significant bit
 first, so ``color[0]`` is the high bit of the gray value.  Stages are named,
 contiguous, non-overlapping spans of the op list; they drive cost accounting
 and survive text export/parse round trips, which is why a stage name must be
@@ -101,44 +103,38 @@ class GateOp:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Role assignment for the qubits of a segmentation circuit.
+    """The fixed NEQR wiring of a segmentation circuit, derived from ``(n, q)``.
 
-    ``color`` and ``threshold`` each hold ``q`` qubits, ``position`` holds
-    ``2n`` (row bits above column bits), plus two comparator aux qubits and a
-    pair of comparison-result qubits; the indices together cover exactly
-    ``2q + 2n + 4`` wires.
+    From wire 0 up: ``2n`` position qubits (row bits above column bits),
+    ``q`` color qubits, ``q`` threshold qubits, two comparator aux qubits and
+    two comparison-result qubits, ``2q + 2n + 4`` wires in all.  The register
+    tuples are derived once and list wires MSB first.  With position in the
+    low wires and color just above it, color, position and the (color,
+    position) readout are bit fields of a basis index; each read below works
+    on an int or an int64 index array.
     """
 
-    color: tuple[int, ...]
-    position: tuple[int, ...]
-    threshold: tuple[int, ...]
-    cmp_aux: tuple[int, int]
-    results: tuple[int, int]
+    n: int
+    q: int
+    position: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    color: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    threshold: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    cmp_aux: tuple[int, int] = field(init=False, repr=False, compare=False)
+    results: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("color", "position", "threshold", "cmp_aux", "results"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.color:
-            raise ValueError("color register must have at least one qubit")
-        if len(self.threshold) != len(self.color):
-            raise ValueError("threshold register must match the color register size")
-        if len(self.position) % 2:
-            raise ValueError("position register needs an even number of qubits")
-        if len(self.cmp_aux) != 2 or len(self.results) != 2:
-            raise ValueError("need exactly two aux and two result qubits")
-        all_idx = (
-            self.color + self.position + self.threshold + self.cmp_aux + self.results
-        )
-        if sorted(all_idx) != list(range(len(all_idx))):
-            raise ValueError("register indices must cover 0..width-1 without overlap")
+        if self.n < 0 or self.q < 1:
+            raise ValueError("need n >= 0 and q >= 1")
+        p, q = 2 * self.n, self.q
 
-    @property
-    def q(self) -> int:
-        return len(self.color)
+        def span(lo: int, count: int) -> tuple[int, ...]:
+            return tuple(range(lo + count - 1, lo - 1, -1))  # MSB first
 
-    @property
-    def n(self) -> int:
-        return len(self.position) // 2
+        object.__setattr__(self, "position", span(0, p))
+        object.__setattr__(self, "color", span(p, q))
+        object.__setattr__(self, "threshold", span(p + q, q))
+        object.__setattr__(self, "cmp_aux", (p + 2 * q, p + 2 * q + 1))
+        object.__setattr__(self, "results", (p + 2 * q + 2, p + 2 * q + 3))
 
     @property
     def width(self) -> int:
@@ -150,31 +146,17 @@ class RegisterLayout:
         return self.color + self.position
 
     def color_value(self, basis_index: int) -> int:
-        return extract_bits(basis_index, self.color)
+        return basis_index >> 2 * self.n & ((1 << self.q) - 1)
 
     def position_value(self, basis_index: int) -> int:
-        return extract_bits(basis_index, self.position)
+        return basis_index & ((1 << 2 * self.n) - 1)
+
+    def readout_value(self, basis_index: int) -> int:
+        """The readout key: color above position, the low ``q + 2n`` bits."""
+        return basis_index & ((1 << self.q + 2 * self.n) - 1)
 
     def readout_bitstring(self, basis_index: int) -> str:
-        return "".join(
-            "1" if basis_index >> qb & 1 else "0" for qb in self.measurement_qubits
-        )
-
-    @classmethod
-    def standard(cls, n: int, q: int) -> "RegisterLayout":
-        """Dense layout: position in the low wires, then color, threshold, aux."""
-        if n < 0 or q < 1:
-            raise ValueError("need n >= 0 and q >= 1")
-        def span(lo: int, count: int) -> tuple[int, ...]:
-            return tuple(range(lo + count - 1, lo - 1, -1))  # MSB first
-        p = 2 * n
-        return cls(
-            color=span(p, q),
-            position=span(0, p),
-            threshold=span(p + q, q),
-            cmp_aux=(p + 2 * q, p + 2 * q + 1),
-            results=(p + 2 * q + 2, p + 2 * q + 3),
-        )
+        return format(self.readout_value(basis_index), f"0{self.q + 2 * self.n}b")
 
 
 def extract_bits(basis_index: int, qubits: Iterable[int]) -> int:
@@ -320,10 +302,20 @@ class Circuit:
         return sub
 
     def without_stages(self, *names: str) -> "Circuit":
+        """Copy without the named stages; every other op keeps its order."""
         for name in names:
             self.stage_named(name)
-        keep = [s.name for s in self.stages if s.name not in names]
-        return self.subcircuit(keep)
+        out = Circuit(self.width, self.layout)
+        done = 0
+        for s in sorted(self.stages, key=lambda s: s.start):
+            out.ops.extend(self.ops[done : s.start])
+            if s.name not in names:
+                start = len(out.ops)
+                out.ops.extend(self.ops[s.start : s.stop])
+                out.stages.append(replace(s, start=start, stop=len(out.ops)))
+            done = s.stop
+        out.ops.extend(self.ops[done:])
+        return out
 
     def extend(self, fragment: "Circuit") -> "Circuit":
         """Append another circuit's ops and stages after this circuit's."""
@@ -331,10 +323,12 @@ class Circuit:
             raise ValueError("cannot compose circuits with an open stage")
         if fragment.width > self.width:
             raise ValueError("fragment is wider than the host circuit")
+        mine = set(self.stage_names())
+        for s in fragment.stages:
+            if s.name in mine:
+                raise ValueError(f"duplicate stage name {s.name!r}")
         offset = len(self.ops)
         self.ops.extend(fragment.ops)
         for s in fragment.stages:
-            if any(mine.name == s.name for mine in self.stages):
-                raise ValueError(f"duplicate stage name {s.name!r}")
             self.stages.append(replace(s, start=s.start + offset, stop=s.stop + offset))
         return self

@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+from .circuit import RegisterLayout
 from .cost import quantum_cost
 from .image import ImageGray, read_image_pgm, write_image_pgm
 from .qasm import export_circuit_text
@@ -93,18 +94,20 @@ def _majority_image(
     Returns the image and the list of positions whose color was not
     unanimous (ties break toward the most frequent, then smallest value).
     """
+    layout = RegisterLayout(n, q)
     votes: dict[int, dict[int, int]] = {}
     for r in records:
         key = int(r.bitstring, 2)
-        color, position = key >> 2 * n, key & (4**n - 1)
-        tally = votes.setdefault(position, {})
+        tally = votes.setdefault(layout.position_value(key), {})
+        color = layout.color_value(key)
         tally[color] = tally.get(color, 0) + r.count
+    bits = len(layout.position)
     pixels = []
     disputed = []
-    for label in range(4**n):
+    for label in range(1 << bits):
         if label not in votes:
             raise ValueError(
-                f"position {label:0{2 * n}b} never observed; increase --shots"
+                f"position {label:0{bits}b} never observed; increase --shots"
             )
         tally = votes[label]
         if len(tally) > 1:

@@ -98,7 +98,8 @@ def quantum_cost(
     """Tally gate costs for ``counted_stages`` (default: everything but prep).
 
     Ops outside any stage are bucketed under ``(unstaged)`` and counted only
-    when no explicit stage list is given.  Unknown stage names raise.
+    when no explicit stage list is given.  Unknown or repeated stage names
+    raise.
     """
     per_stage: dict[str, GateCounts] = {}
     staged = [False] * len(circuit.ops)
@@ -120,9 +121,11 @@ def quantum_cost(
         if has_loose:
             counted.append(UNSTAGED)
     else:
-        for name in counted_stages:
+        for i, name in enumerate(counted_stages):
             if name != UNSTAGED and name not in (s.name for s in circuit.stages):
                 raise ValueError(f"unknown stage {name!r}")
+            if name in counted_stages[:i]:
+                raise ValueError(f"stage {name!r} listed more than once")
         counted = [name for name in counted_stages if name != PREP_STAGE]
 
     quotes = {s.name: s.quoted for s in circuit.stages if s.quoted is not None}

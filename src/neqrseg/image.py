@@ -48,6 +48,11 @@ class ImageGray:
     @classmethod
     def from_rows(cls, rows: list[list[int]], q: int) -> "ImageGray":
         side = len(rows)
+        for row in rows:
+            if len(row) != side:
+                raise ValueError(
+                    f"{side} rows need {side} values each, got a row of {len(row)}"
+                )
         n = max(side - 1, 0).bit_length()
         flat = tuple(v for row in rows for v in row)
         return cls(n, q, flat)

@@ -14,20 +14,15 @@ from .image import ImageGray
 from .tracked import BranchMap, assert_no_collision
 
 
-def _check_layout(image: ImageGray, layout: RegisterLayout) -> None:
-    if layout.n != image.n or layout.q != image.q:
-        raise ValueError(
-            f"layout is for n={layout.n}, q={layout.q} but image has "
-            f"n={image.n}, q={image.q}"
-        )
+def build_preparation(image: ImageGray) -> Circuit:
+    """Circuit writing ``image`` into the color/position registers (stage prep).
 
-
-def build_preparation(image: ImageGray, layout: RegisterLayout | None = None) -> Circuit:
-    """Circuit writing ``image`` into the color/position registers (stage prep)."""
-    if layout is None:
-        layout = RegisterLayout.standard(image.n, image.q)
-    _check_layout(image, layout)
-    q, p = image.q, 2 * image.n
+    The layout is ``RegisterLayout(image.n, image.q)``.  Position wire ``j``
+    is bit ``j`` of the label and color wire ``2n + j`` bit ``j`` of the
+    gray value, so each pixel's controls read the label's bits directly.
+    """
+    layout = RegisterLayout(image.n, image.q)
+    p = 2 * image.n
     circuit = Circuit(layout.width, layout)
     with circuit.stage("prep"):
         for qb in layout.position:
@@ -36,11 +31,10 @@ def build_preparation(image: ImageGray, layout: RegisterLayout | None = None) ->
             if value == 0:
                 continue
             controls = tuple(
-                Control(qb, bool(label >> (p - 1 - i) & 1))
-                for i, qb in enumerate(layout.position)
+                Control(qb, bool(label >> qb & 1)) for qb in layout.position
             )
-            for k, cq in enumerate(layout.color):
-                if value >> (q - 1 - k) & 1:
+            for cq in layout.color:
+                if value >> (cq - p) & 1:
                     circuit.controlled_x(controls, cq)
     return circuit
 

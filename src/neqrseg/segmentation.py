@@ -168,12 +168,10 @@ def build_s3(
     return circuit
 
 
-def build_pipeline(
-    image: ImageGray,
-    config: ThresholdConfig,
-    layout: RegisterLayout | None = None,
-) -> Circuit:
+def build_pipeline(image: ImageGray, config: ThresholdConfig) -> Circuit:
     """Full circuit: preparation, then one compare/rewrite round per threshold.
+
+    The wiring is the preparation's, ``RegisterLayout(image.n, image.q)``.
 
     Stage order for two thresholds: prep, init-T-1, compare-1, segment-1 (top
     band), reset-T-1, init-T-2, compare-2, segment-2 (bottom band), segment-3
@@ -182,9 +180,8 @@ def build_pipeline(
     """
     if config.q != image.q:
         raise ValueError(f"config is for q={config.q} but image has q={image.q}")
-    if layout is None:
-        layout = RegisterLayout.standard(image.n, image.q)
-    circuit = build_preparation(image, layout)
+    circuit = build_preparation(image)
+    layout = circuit.layout
     q = layout.q
     count = len(config.thresholds)
     descending = tuple(reversed(config.thresholds))

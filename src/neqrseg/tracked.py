@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp, RegisterLayout, extract_bits
+from .circuit import Circuit, GateKind, GateOp, RegisterLayout
 
 MAX_TRACKED_WIDTH = 62
 
@@ -75,14 +75,14 @@ class BranchMap:
 
     def readout_distribution(self) -> dict[str, Fraction]:
         """Exact law of the (color, position) readout, keyed like histograms."""
-        qubits = self._require_layout().measurement_qubits
-        readout = extract_bits(self.branches, qubits)
+        layout = self._require_layout()
+        readout = layout.readout_value(self.branches)
         values, first, counts = np.unique(
             readout, return_index=True, return_counts=True
         )
         total = len(self.branches)
         return {
-            format(int(values[i]), f"0{len(qubits)}b"): Fraction(int(counts[i]), total)
+            layout.readout_bitstring(int(values[i])): Fraction(int(counts[i]), total)
             for i in np.argsort(first)
         }
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from neqrseg import (
@@ -8,6 +9,7 @@ from neqrseg import (
     GateKind,
     GateOp,
     RegisterLayout,
+    Stage,
     apply_to_basis,
     extract_bits,
     insert_bits,
@@ -99,6 +101,22 @@ def test_subcircuit_and_without_stages():
     assert [op.target for op in sub.ops] == [1, 2]
     assert sub.stage_names() == ["mid", "end"]
     assert c.without_stages("prep").stage_names() == ["mid", "end"]
+    loose = Circuit(2)
+    with loose.stage("prep"):
+        loose.h(0)
+    loose.x(1)
+    assert [op.target for op in loose.without_stages("prep").ops] == [1]
+    mixed = Circuit(3)
+    mixed.x(2)
+    with mixed.stage("prep"):
+        mixed.h(0)
+    mixed.x(1)
+    with mixed.stage("mid", ("demo", 1)):
+        mixed.x(2).x(0)
+    mixed.x(0)
+    kept = mixed.without_stages("prep")
+    assert [op.target for op in kept.ops] == [2, 1, 2, 0, 0]
+    assert kept.stages == [Stage("mid", 2, 4, ("demo", 1))]
 
 
 def test_extend_merges_ops_stages_and_formulas():
@@ -113,10 +131,15 @@ def test_extend_merges_ops_stages_and_formulas():
     assert host.stage_named("work").start == 1
     assert host.stage_named("work").quoted == ("demo", 5)
     clash = Circuit(2)
+    with clash.stage("t"):
+        clash.x(0)
     with clash.stage("prep"):
-        pass
+        clash.x(1)
+    before = list(host.ops)
     with pytest.raises(ValueError):
         host.extend(clash)
+    assert host.ops == before
+    assert host.stage_names() == ["prep", "work"]
 
 
 def test_extend_rejects_wider_fragment():
@@ -125,7 +148,7 @@ def test_extend_rejects_wider_fragment():
 
 
 def test_standard_layout_shape():
-    lay = RegisterLayout.standard(2, 3)
+    lay = RegisterLayout(2, 3)
     assert lay.width == 14
     assert lay.q == 3 and lay.n == 2
     assert lay.color == (6, 5, 4)
@@ -136,11 +159,24 @@ def test_standard_layout_shape():
     assert lay.measurement_qubits == (6, 5, 4, 3, 2, 1, 0)
 
 
-def test_layout_rejects_overlap():
-    with pytest.raises(ValueError):
-        RegisterLayout(
-            color=(0,), position=(1, 2), threshold=(0,), cmp_aux=(3, 4), results=(5, 6)
-        )
+def test_layout_bit_fields_match_register_tuples():
+    rng = random.Random(5)
+    for n in range(4):
+        for q in range(1, 9):
+            lay = RegisterLayout(n, q)
+            wires = (
+                lay.position + lay.color + lay.threshold + lay.cmp_aux + lay.results
+            )
+            assert sorted(wires) == list(range(lay.width))
+            ints = [rng.getrandbits(lay.width) for _ in range(200)]
+            arr = np.array(ints, dtype=np.int64)
+            for read, qubits in (
+                (lay.color_value, lay.color),
+                (lay.position_value, lay.position),
+                (lay.readout_value, lay.measurement_qubits),
+            ):
+                assert [read(i) for i in ints] == [extract_bits(i, qubits) for i in ints]
+                assert np.array_equal(read(arr), extract_bits(arr, qubits))
 
 
 def test_bit_helpers_round_trip():
@@ -154,7 +190,7 @@ def test_bit_helpers_round_trip():
 
 
 def test_readout_bitstring_is_color_then_position():
-    lay = RegisterLayout.standard(1, 2)
+    lay = RegisterLayout(1, 2)
     idx = insert_bits(insert_bits(0, lay.color, 0b10), lay.position, 0b01)
     assert lay.readout_bitstring(idx) == "1001"
 

@@ -70,10 +70,10 @@ def test_ties_never_set_the_flag():
 
 def test_comparator_in_superposition():
     """Compare every pixel of an encoded image against a fixed threshold."""
-    layout = RegisterLayout.standard(1, 3)
+    layout = RegisterLayout(1, 3)
     image = ImageGray(1, 3, (0, 3, 4, 7))
     threshold = 4
-    circuit = build_preparation(image, layout)
+    circuit = build_preparation(image)
     for k, qb in enumerate(layout.threshold):
         if threshold >> (layout.q - 1 - k) & 1:
             circuit.x(qb)

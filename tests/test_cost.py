@@ -67,6 +67,8 @@ def test_unknown_stage_rejected():
         c.x(0)
     with pytest.raises(ValueError):
         quantum_cost(c, counted_stages=["nope"])
+    with pytest.raises(ValueError, match="more than once"):
+        quantum_cost(c, counted_stages=["work", "work"])
 
 
 def test_mcx_weight_schedule():

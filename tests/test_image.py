@@ -12,6 +12,13 @@ def test_image_validation():
         ImageGray(1, 0, (0, 0, 0, 0))
 
 
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="2 rows need 2 values each"):
+        ImageGray.from_rows([[1, 2, 3], [0]], 2)
+    with pytest.raises(ValueError, match="2 rows need 2 values each"):
+        ImageGray.from_rows([[1, 2], [0]], 2)
+
+
 def test_image_accessors(sample_4x4):
     assert sample_4x4.side == 4
     assert sample_4x4.max_value == 7

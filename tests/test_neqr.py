@@ -65,7 +65,7 @@ def test_encode_decode_identity():
 
 
 def test_decode_missing_position():
-    layout = RegisterLayout.standard(1, 1)
+    layout = RegisterLayout(1, 1)
     only_three = BranchMap(
         layout.width,
         np.array([insert_bits(0, layout.position, p) for p in range(3)]),
@@ -81,15 +81,10 @@ def test_decode_needs_a_layout():
 
 
 def test_decode_with_explicit_layout():
-    layout = RegisterLayout.standard(1, 2)
+    layout = RegisterLayout(1, 2)
     branches = np.array([
         insert_bits(insert_bits(0, layout.position, p), layout.color, p)
         for p in range(4)
     ])
     bare = BranchMap(layout.width, branches)
     assert decode(bare, layout) == ImageGray(1, 2, (0, 1, 2, 3))
-
-
-def test_layout_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="layout is for"):
-        build_preparation(ImageGray(1, 2, (0, 1, 2, 3)), RegisterLayout.standard(1, 3))

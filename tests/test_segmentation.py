@@ -113,7 +113,7 @@ def evaluate(circuit, assignment):
     return assignment
 
 
-LAYOUT = RegisterLayout.standard(1, 3)
+LAYOUT = RegisterLayout(1, 3)
 
 
 def _start(color, flags):

@@ -78,7 +78,7 @@ def test_h_outside_prep_is_refused():
 
 
 def test_h_on_non_position_qubit_refused():
-    layout = RegisterLayout.standard(1, 2)
+    layout = RegisterLayout(1, 2)
     c = Circuit(layout.width, layout)
     with c.stage("prep"):
         c.h(layout.color[0])
@@ -150,7 +150,7 @@ def test_width_beyond_int64_indices_refused():
 
 
 def test_collision_detection():
-    layout = RegisterLayout.standard(1, 1)
+    layout = RegisterLayout(1, 1)
     at = lambda position, color: insert_bits(
         insert_bits(0, layout.position, position), layout.color, color
     )
@@ -169,7 +169,7 @@ def test_array_queries_match_per_branch_loops():
     """The vectorised queries agree with per-branch loops over the indices."""
     rng = random.Random(3)
     for _ in range(200):
-        layout = RegisterLayout.standard(rng.randint(0, 2), rng.randint(1, 3))
+        layout = RegisterLayout(rng.randint(0, 2), rng.randint(1, 3))
         count = 4**layout.n
         positions = (
             rng.sample(range(count), rng.randint(1, count))
