@@ -1,13 +1,17 @@
 """Gate-level circuit representation with register roles, stages and composition.
 
-Qubit ``j`` is bit ``j`` of a basis-state index (little endian).  The wiring
-is fixed by the image size: :class:`RegisterLayout` derives it from ``(n, q)``
-with position in the low wires, then color, threshold, comparator aux and the
-result pair.  Its register tuples list qubit indices most significant bit
-first, so ``color[0]`` is the high bit of the gray value.  Stages are named,
-contiguous, non-overlapping spans of the op list; they drive cost accounting
-and survive text export/parse round trips, which is why a stage name must be
-non-empty and free of whitespace.
+A gate is H, reset, or an X with any number of mixed-polarity controls;
+``GateOp.mnemonic`` names an X by its control count (``x``, ``cx``, ``ccx``,
+``mcx``) for the cost ledger, the QASM printer and ``str``.  Qubit ``j`` is
+bit ``j`` of a basis-state index (little endian).  The wiring is fixed by the
+image size: :class:`RegisterLayout` derives it from ``(n, q)`` with position
+in the low wires, then color, threshold, comparator aux and the result pair.
+Its register tuples list qubit indices most significant bit first, so
+``color[0]`` is the high bit of the gray value.  Stages are named,
+contiguous, non-overlapping spans of the op list; every other op lies in an
+unstaged gap, and ``Circuit.spans`` walks stages and gaps in order.  Stages
+drive cost accounting and survive text export/parse round trips, which is
+why a stage name must be non-empty and free of whitespace.
 """
 from __future__ import annotations
 
@@ -18,11 +22,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 
 class GateKind(Enum):
+    """H, reset, or X with any number of controls (NOT, CNOT, Toffoli, MCX)."""
+
     H = "h"
     X = "x"
-    CNOT = "cx"
-    TOFFOLI = "ccx"
-    MCX = "mcx"
     RESET = "reset"
 
 
@@ -41,19 +44,11 @@ def neg(qubit: int) -> Control:
     return Control(qubit, False)
 
 
-_FIXED_ARITY = {
-    GateKind.H: 0,
-    GateKind.X: 0,
-    GateKind.RESET: 0,
-    GateKind.CNOT: 1,
-    GateKind.TOFFOLI: 2,
-}
-
-
 @dataclass(frozen=True)
 class GateOp:
-    """One gate (or reset) acting on a target qubit with optional controls.
+    """One gate (or reset) acting on a target qubit; only an X takes controls.
 
+    Controls keep their order, which equality and the lowered ladder see.
     ``mask`` has the bit of every control qubit set and ``value`` the bit of
     every positive one; the gate fires on basis index ``i`` exactly when
     ``i & mask == value``.  Both are derived once, when the op is checked.
@@ -67,15 +62,8 @@ class GateOp:
 
     def __post_init__(self) -> None:
         n = len(self.controls)
-        want = _FIXED_ARITY.get(self.kind)
-        if want is not None and n != want:
-            raise ValueError(
-                f"{self.kind.name} takes exactly {want} control(s), got {n}"
-            )
-        if self.kind is GateKind.MCX and n < 3:
-            raise ValueError(
-                "MCX needs at least 3 controls; use CNOT or TOFFOLI below that"
-            )
+        if n and self.kind is not GateKind.X:
+            raise ValueError(f"{self.kind.name} takes exactly 0 control(s), got {n}")
         if self.target < 0:
             raise ValueError("qubit indices must be non-negative")
         mask = value = 0
@@ -96,9 +84,16 @@ class GateOp:
     def qubits(self) -> tuple[int, ...]:
         return (*(c.qubit for c in self.controls), self.target)
 
+    @property
+    def mnemonic(self) -> str:
+        """``h``, ``reset``, or an X named by its control count: ``x``,
+        ``cx``, ``ccx``, or ``mcx`` from three controls up."""
+        n = len(self.controls)
+        return ("cx", "ccx", "mcx")[min(n, 3) - 1] if n else self.kind.value
+
     def __str__(self) -> str:
         ctrls = ",".join(("" if c.positive else "!") + f"q{c.qubit}" for c in self.controls)
-        return f"{self.kind.value}({ctrls}{' -> ' if ctrls else ''}q{self.target})"
+        return f"{self.mnemonic}({ctrls}{' -> ' if ctrls else ''}q{self.target})"
 
 
 @dataclass(frozen=True)
@@ -246,14 +241,11 @@ class Circuit:
     def controlled_x(
         self, controls: Iterable[int | Control], target: int
     ) -> "Circuit":
-        """Append an X controlled on ``controls``; the kind follows the count."""
+        """Append an X controlled on ``controls`` (plain ints are positive)."""
         ctrls = tuple(
             c if isinstance(c, Control) else Control(c, True) for c in controls
         )
-        kind = {0: GateKind.X, 1: GateKind.CNOT, 2: GateKind.TOFFOLI}.get(
-            len(ctrls), GateKind.MCX
-        )
-        return self.append(GateOp(kind, target, ctrls))
+        return self.append(GateOp(GateKind.X, target, ctrls))
 
     # -- stages ------------------------------------------------------------
 
@@ -292,13 +284,41 @@ class Circuit:
         s = self.stage_named(name)
         return self.ops[s.start : s.stop]
 
+    def spans(self) -> Iterator[tuple[Stage | None, int, int]]:
+        """Walk the op list once, in order, as ``(stage, start, stop)`` spans.
+
+        Every stage is yielded, empty ones included, in order of start; each
+        non-empty run of ops outside any stage is yielded as ``(None, start,
+        stop)``, so no gap is empty and no two gaps are adjacent.
+        """
+        at = 0
+        for s in sorted(self.stages, key=lambda s: s.start):
+            if s.start > at:
+                yield None, at, s.start
+            yield s, s.start, s.stop
+            at = s.stop
+        if at < len(self.ops):
+            yield None, at, len(self.ops)
+
+    def append_span(self, stage: Stage | None, ops: Iterable[GateOp]) -> "Circuit":
+        """Append ``ops``, unchecked, under a copy of ``stage`` re-offset to
+        cover them, or unstaged when ``stage`` is None.  Every copy of a
+        circuit's spans (``extend``, ``subcircuit``, lowering) goes through here.
+        """
+        if stage is not None and stage.name in self.stage_names():
+            raise ValueError(f"duplicate stage name {stage.name!r}")
+        start = len(self.ops)
+        self.ops.extend(ops)
+        if stage is not None:
+            self.stages.append(replace(stage, start=start, stop=len(self.ops)))
+        return self
+
     def subcircuit(self, names: Iterable[str]) -> "Circuit":
         """New circuit holding only the named stages, in the order given."""
         sub = Circuit(self.width, self.layout)
         for name in names:
-            span = self.stage_named(name)
-            with sub.stage(name, span.quoted):
-                sub.ops.extend(self.ops[span.start : span.stop])
+            s = self.stage_named(name)
+            sub.append_span(s, self.ops[s.start : s.stop])
         return sub
 
     def without_stages(self, *names: str) -> "Circuit":
@@ -306,15 +326,9 @@ class Circuit:
         for name in names:
             self.stage_named(name)
         out = Circuit(self.width, self.layout)
-        done = 0
-        for s in sorted(self.stages, key=lambda s: s.start):
-            out.ops.extend(self.ops[done : s.start])
-            if s.name not in names:
-                start = len(out.ops)
-                out.ops.extend(self.ops[s.start : s.stop])
-                out.stages.append(replace(s, start=start, stop=len(out.ops)))
-            done = s.stop
-        out.ops.extend(self.ops[done:])
+        for s, start, stop in self.spans():
+            if s is None or s.name not in names:
+                out.append_span(s, self.ops[start:stop])
         return out
 
     def extend(self, fragment: "Circuit") -> "Circuit":
@@ -327,8 +341,6 @@ class Circuit:
         for s in fragment.stages:
             if s.name in mine:
                 raise ValueError(f"duplicate stage name {s.name!r}")
-        offset = len(self.ops)
-        self.ops.extend(fragment.ops)
-        for s in fragment.stages:
-            self.stages.append(replace(s, start=s.start + offset, stop=s.stop + offset))
+        for s, start, stop in fragment.spans():
+            self.append_span(s, fragment.ops[start:stop])
         return self

@@ -147,14 +147,18 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    Path(args.out).write_bytes(write_image_pgm(result))
+    # Build every output before writing any, so a failure leaves no file.
+    outputs = [(args.out, write_image_pgm(result))]
     if args.histogram is not None:
-        Path(args.histogram).write_text(records_to_csv(records))
+        outputs.append((args.histogram, records_to_csv(records).encode()))
     if args.cost_report is not None:
         payload = _cost_payload(circuit, image.q, len(config.thresholds))
-        Path(args.cost_report).write_text(json.dumps(payload, indent=2) + "\n")
+        report = json.dumps(payload, indent=2) + "\n"
+        outputs.append((args.cost_report, report.encode()))
     if args.export_qasm is not None:
-        Path(args.export_qasm).write_text(export_circuit_text(circuit))
+        outputs.append((args.export_qasm, export_circuit_text(circuit).encode()))
+    for path, data in outputs:
+        Path(path).write_bytes(data)
     return 0
 
 

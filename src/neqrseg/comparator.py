@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, GateKind, neg, pos
+from .circuit import Circuit, neg, pos
 
 
 def comparator_formula_cost(q: int) -> int:
@@ -61,26 +61,24 @@ def build_comparator(spec: ComparatorSpec, width: int | None = None) -> Circuit:
     circuit = Circuit(width)
     quoted = ("comparator-paper", comparator_formula_cost(q))
     with circuit.stage(spec.stage_name, quoted):
-        if q == 1:
-            circuit.append(GateOp(GateKind.TOFFOLI, y, (neg(a[0]), pos(b[0]))))
-        else:
-            # Highest bit decides outright; the tie flag lands in u.  The b
-            # bit briefly holds a XOR b so equality is a single control.
-            circuit.append(GateOp(GateKind.TOFFOLI, y, (neg(a[0]), pos(b[0]))))
+        # Highest bit decides outright.  With more bits its tie flag lands in
+        # u; the b bit briefly holds a XOR b so equality is a single control.
+        circuit.ccx(neg(a[0]), pos(b[0]), y)
+        if q > 1:
             circuit.cx(a[0], b[0])
             circuit.cx(neg(b[0]), u)
             circuit.cx(a[0], b[0])
             tie, scratch = u, v
             for i in range(1, q - 1):
-                circuit.append(GateOp(GateKind.TOFFOLI, scratch, (neg(a[i]), pos(b[i]))))
+                circuit.ccx(neg(a[i]), pos(b[i]), scratch)
                 circuit.ccx(tie, scratch, y)
                 circuit.reset(scratch)
                 circuit.cx(a[i], b[i])
-                circuit.append(GateOp(GateKind.TOFFOLI, scratch, (pos(tie), neg(b[i]))))
+                circuit.ccx(pos(tie), neg(b[i]), scratch)
                 circuit.cx(a[i], b[i])
                 circuit.reset(tie)
                 tie, scratch = scratch, tie
-            circuit.append(GateOp(GateKind.TOFFOLI, scratch, (neg(a[-1]), pos(b[-1]))))
+            circuit.ccx(neg(a[-1]), pos(b[-1]), scratch)
             circuit.ccx(tie, scratch, y)
             circuit.reset(scratch)
             circuit.reset(tie)

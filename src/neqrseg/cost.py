@@ -1,22 +1,25 @@
 """Weighted gate counting over circuit stages.
 
 Weights follow the usual reversible-logic convention: single-qubit gates,
-CNOT and reset cost 1 each, a Toffoli costs 5.  A multi-controlled X with m
-controls carries a declared ladder weight of 10*(m-1); it only appears in
-preparation, which is excluded from every total.  Negative controls are
-charged as if lowered to X-flanked positive controls: two extra single-qubit
-gates per negative control.
+CNOT and reset cost 1 each, a Toffoli costs 5.  An X is tallied by its
+control count (``GateOp.mnemonic``): none is a single-qubit gate, one a
+CNOT, two a Toffoli, and m >= 3 an MCX carrying a declared ladder weight of
+10*(m-1); MCX only appears in preparation, which is excluded from every
+total.  Negative controls are charged as if lowered to X-flanked positive
+controls: two extra single-qubit gates per negative control.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, GateKind, GateOp
+from .circuit import Circuit, GateOp
 
 TOFFOLI_WEIGHT = 5
 
 PREP_STAGE = "prep"
-UNSTAGED = "(unstaged)"
+# Ledger key of the ops outside every stage.  It holds a space, which no
+# stage name can (``Circuit.stage`` and the QASM stage marker refuse one).
+UNSTAGED = "(no stage)"
 
 
 def mcx_weight(num_controls: int) -> int:
@@ -39,19 +42,18 @@ class GateCounts:
 
     def count(self, op: GateOp) -> None:
         self.single_qubit += 2 * (op.mask ^ op.value).bit_count()
-        if op.kind in (GateKind.H, GateKind.X):
-            self.single_qubit += 1
-        elif op.kind is GateKind.CNOT:
-            self.cnot += 1
-        elif op.kind is GateKind.TOFFOLI:
-            self.toffoli += 1
-        elif op.kind is GateKind.MCX:
-            self.mcx += 1
-            self.mcx_weight_total += mcx_weight(len(op.controls))
-        elif op.kind is GateKind.RESET:
-            self.reset += 1
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown gate kind {op.kind}")
+        match op.mnemonic:
+            case "h" | "x":
+                self.single_qubit += 1
+            case "cx":
+                self.cnot += 1
+            case "ccx":
+                self.toffoli += 1
+            case "mcx":
+                self.mcx += 1
+                self.mcx_weight_total += mcx_weight(len(op.controls))
+            case "reset":
+                self.reset += 1
 
     @property
     def actual_cost(self) -> int:
@@ -97,24 +99,18 @@ def quantum_cost(
 ) -> CostLedger:
     """Tally gate costs for ``counted_stages`` (default: everything but prep).
 
-    Ops outside any stage are bucketed under ``(unstaged)`` and counted only
-    when no explicit stage list is given.  Unknown or repeated stage names
-    raise.
+    The gaps of ``circuit.spans()`` are bucketed under ``UNSTAGED`` and
+    counted only when no explicit stage list is given.  Unknown or repeated
+    stage names raise.
     """
     per_stage: dict[str, GateCounts] = {}
-    staged = [False] * len(circuit.ops)
-    for s in circuit.stages:
-        counts = per_stage.setdefault(s.name, GateCounts())
-        for i in range(s.start, s.stop):
-            counts.count(circuit.ops[i])
-            staged[i] = True
-    loose = GateCounts()
-    for i, op in enumerate(circuit.ops):
-        if not staged[i]:
-            loose.count(op)
-    has_loose = any(not flag for flag in staged)
-    if has_loose:
-        per_stage[UNSTAGED] = loose
+    for s, start, stop in circuit.spans():
+        counts = per_stage.setdefault(UNSTAGED if s is None else s.name, GateCounts())
+        for op in circuit.ops[start:stop]:
+            counts.count(op)
+    has_loose = UNSTAGED in per_stage
+    if has_loose:  # the gap bucket is listed last
+        per_stage[UNSTAGED] = per_stage.pop(UNSTAGED)
 
     if counted_stages is None:
         counted = [s.name for s in circuit.stages if s.name != PREP_STAGE]

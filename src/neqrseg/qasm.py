@@ -10,7 +10,6 @@ closes a stage when unstaged ops follow, and a repeated name is an error.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from .circuit import Circuit, Control, GateKind, GateOp, Stage
 
@@ -29,7 +28,7 @@ def _mcx_ladder(controls: list[int], target: int, ancillas: list[int]) -> list[G
     expands to 4*(m-2) Toffolis.
     """
     m = len(controls)
-    ccx = lambda a, b, t: GateOp(GateKind.TOFFOLI, t, (Control(a), Control(b)))
+    ccx = lambda a, b, t: GateOp(GateKind.X, t, (Control(a), Control(b)))
     half = [ccx(controls[m - 1], ancillas[m - 3], target)]
     for i in range(m - 2, 1, -1):
         half.append(ccx(controls[i], ancillas[i - 2], ancillas[i - 1]))
@@ -40,11 +39,11 @@ def _mcx_ladder(controls: list[int], target: int, ancillas: list[int]) -> list[G
 
 
 def _lower_op(op: GateOp, width: int) -> list[GateOp]:
-    if op.kind in (GateKind.H, GateKind.X, GateKind.RESET):
+    if not op.controls:
         return [op]
     flips = [GateOp(GateKind.X, c.qubit) for c in op.controls if not c.positive]
     ctrl_qubits = [c.qubit for c in op.controls]
-    if op.kind is GateKind.MCX:
+    if len(ctrl_qubits) > 2:
         used = set(ctrl_qubits) | {op.target}
         free = [qb for qb in range(width) if qb not in used]
         need = len(ctrl_qubits) - 2
@@ -60,46 +59,34 @@ def _lower_op(op: GateOp, width: int) -> list[GateOp]:
 
 
 def lower(circuit: Circuit) -> Circuit:
-    """Rewrite to positive controls and at most two controls per gate."""
+    """Rewrite to positive controls and at most two controls per gate.
+
+    Each of ``circuit.spans()`` lowers to one span, its stage kept whole."""
     out = Circuit(circuit.width, circuit.layout)
-    index_map: list[int] = []  # original op index -> start in lowered list
-    for op in circuit.ops:
-        index_map.append(len(out.ops))
-        for low in _lower_op(op, circuit.width):
-            out.append(low)
-    index_map.append(len(out.ops))
-    for s in circuit.stages:
-        out.stages.append(replace(s, start=index_map[s.start], stop=index_map[s.stop]))
+    for s, start, stop in circuit.spans():
+        out.append_span(
+            s, [low for op in circuit.ops[start:stop] for low in _lower_op(op, out.width)]
+        )
     return out
 
 
 def _format_op(op: GateOp) -> str:
     args = ",".join(f"q[{qb}]" for qb in op.qubits)
-    return f"{op.kind.value} {args};"
+    return f"{op.mnemonic} {args};"
 
 
 def export_circuit_text(circuit: Circuit) -> str:
     """Serialize the lowered circuit, one statement per line."""
     low = lower(circuit)
-    starts: dict[int, list[str]] = {}
-    for s in low.stages:
-        starts.setdefault(s.start, []).append(s.name)
-    stage_of: list[str | None] = [None] * len(low.ops)
-    for s in low.stages:
-        for i in range(s.start, s.stop):
-            stage_of[i] = s.name
     lines = ["OPENQASM 2.0;", f"qreg q[{low.width}];"]
-    open_name: str | None = None
-    for i, op in enumerate(low.ops):
-        for name in starts.get(i, ()):
-            lines.append(f"// stage:{name}")
-            open_name = name
-        if stage_of[i] is None and open_name is not None:
+    after_stage = False
+    for s, start, stop in low.spans():
+        if s is not None:
+            lines.append(f"// stage:{s.name}")
+        elif after_stage:
             lines.append("// stage:")
-            open_name = None
-        lines.append(_format_op(op))
-    for name in starts.get(len(low.ops), ()):
-        lines.append(f"// stage:{name}")
+        after_stage = s is not None
+        lines.extend(_format_op(op) for op in low.ops[start:stop])
     return "\n".join(lines) + "\n"
 
 
@@ -108,7 +95,9 @@ _GATE_RE = re.compile(r"^(\w+)\s+(.*?)\s*;$")
 _QUBIT_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$")
 _STAGE_RE = re.compile(r"^//\s*stage:\s*(\S*)\s*$")
 
-_ARITY = {"h": 1, "x": 1, "reset": 1, "cx": 2, "ccx": 3}
+# mnemonic -> (kind, qubit count); the last qubit is the target
+_GATES = {"h": (GateKind.H, 1), "x": (GateKind.X, 1), "reset": (GateKind.RESET, 1),
+          "cx": (GateKind.X, 2), "ccx": (GateKind.X, 3)}
 
 
 def parse_circuit_text(text: str) -> Circuit:
@@ -147,15 +136,15 @@ def parse_circuit_text(text: str) -> Circuit:
         if not m:
             raise QasmParseError(line_no, f"malformed statement: {line!r}")
         mnemonic, arg_text = m.groups()
-        if mnemonic not in _ARITY:
+        if mnemonic not in _GATES:
             raise QasmParseError(line_no, f"unknown mnemonic {mnemonic!r}")
         if width is None:
             raise QasmParseError(line_no, "gate before qreg declaration")
+        kind, arity = _GATES[mnemonic]
         args = [a.strip() for a in arg_text.split(",")] if arg_text else []
-        if len(args) != _ARITY[mnemonic]:
+        if len(args) != arity:
             raise QasmParseError(
-                line_no,
-                f"{mnemonic} takes {_ARITY[mnemonic]} qubit(s), got {len(args)}",
+                line_no, f"{mnemonic} takes {arity} qubit(s), got {len(args)}"
             )
         qubits = []
         for a in args:
@@ -166,8 +155,6 @@ def parse_circuit_text(text: str) -> Circuit:
             if qb >= width:
                 raise QasmParseError(line_no, f"qubit q[{qb}] outside qreg q[{width}]")
             qubits.append(qb)
-        kind = {"h": GateKind.H, "x": GateKind.X, "reset": GateKind.RESET,
-                "cx": GateKind.CNOT, "ccx": GateKind.TOFFOLI}[mnemonic]
         try:
             ops.append(
                 GateOp(kind, qubits[-1], tuple(Control(qb) for qb in qubits[:-1]))

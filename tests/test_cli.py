@@ -220,3 +220,20 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["paperTotal"] == 174
+
+
+def test_failed_output_leaves_no_file(tmp_path, capsys):
+    source = tmp_path / "in.pgm"
+    source.write_bytes(write_image_pgm(ImageGray(4, 1, (0, 1) * 128)))
+    out, report, qasm = tmp_path / "out.pgm", tmp_path / "c.json", tmp_path / "q.qasm"
+    code = run_cli(
+        "segment",
+        "--input", source,
+        "--t", "1",
+        "--out", out,
+        "--cost-report", report,
+        "--export-qasm", qasm,
+    )
+    assert code == 1
+    assert "spare" in capsys.readouterr().err
+    assert not out.exists() and not report.exists() and not qasm.exists()

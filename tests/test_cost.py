@@ -8,6 +8,7 @@ from neqrseg import (
     build_comparator,
     mcx_weight,
     neg,
+    parse_circuit_text,
     quantum_cost,
 )
 from neqrseg.cost import TOFFOLI_WEIGHT, UNSTAGED
@@ -123,3 +124,26 @@ def test_counts_as_dict_keys():
         "reset": 1,
         "cost": 8,
     }
+
+
+def test_a_stage_named_like_the_old_gap_bucket_keeps_its_own_ledger():
+    built = Circuit(3)
+    with built.stage("(unstaged)"):
+        built.ccx(0, 1, 2)
+    built.x(0)
+    parsed = parse_circuit_text(
+        "OPENQASM 2.0;\nqreg q[3];\n// stage:(unstaged)\nccx q[0],q[1],q[2];\n"
+        "// stage:\nx q[0];\n"
+    )
+    for c in (built, parsed):
+        ledger = quantum_cost(c)
+        assert ledger.counted == ("(unstaged)", UNSTAGED)
+        assert ledger.stages["(unstaged)"].actual_cost == TOFFOLI_WEIGHT
+        assert ledger.stages[UNSTAGED].actual_cost == 1
+        assert ledger.actual_cost == 6
+
+
+def test_no_stage_can_take_the_gap_bucket_name():
+    with pytest.raises(ValueError, match="whitespace"):
+        with Circuit(1).stage(UNSTAGED):
+            pass

@@ -8,13 +8,19 @@ from neqrseg import (
     Control,
     GateKind,
     GateOp,
+    ImageGray,
     QasmParseError,
+    ThresholdConfig,
     apply_to_basis,
+    build_pipeline,
+    classical_segment,
+    decode,
     export_circuit_text,
     lower,
     parse_circuit_text,
     pos,
     neg,
+    run_tracked,
 )
 
 
@@ -75,7 +81,7 @@ def _random_op(rng, width):
     if pick == "mcx":
         m = rng.randint(3, (width + 1) // 2)
         wires = rng.sample(range(width), m + 1)
-        kind = GateKind.MCX
+        kind = GateKind.X
     else:
         arity = {"h": 1, "x": 1, "reset": 1, "cx": 2, "ccx": 3}[pick]
         wires = rng.sample(range(width), arity)
@@ -83,8 +89,8 @@ def _random_op(rng, width):
             "h": GateKind.H,
             "x": GateKind.X,
             "reset": GateKind.RESET,
-            "cx": GateKind.CNOT,
-            "ccx": GateKind.TOFFOLI,
+            "cx": GateKind.X,
+            "ccx": GateKind.X,
         }[pick]
     controls = tuple(Control(w, rng.random() < 0.7) for w in wires[:-1])
     return GateOp(kind, wires[-1], controls)
@@ -130,9 +136,9 @@ def test_mcx_ladder_semantics_exhaustive():
         controls = tuple(range(m))
         c.controlled_x(controls, m)
         low = lower(c)
-        assert all(op.kind is GateKind.TOFFOLI for op in low.ops)
+        assert all(op.mnemonic == "ccx" for op in low.ops)
         assert len(low.ops) == 4 * (m - 2)
-        mcx = GateOp(GateKind.MCX, m, tuple(pos(qb) for qb in controls))
+        mcx = GateOp(GateKind.X, m, tuple(pos(qb) for qb in controls))
         for basis in range(1 << width):
             state = basis
             for op in low.ops:
@@ -145,7 +151,7 @@ def test_mcx_with_negative_controls_lowered_correctly():
     c = Circuit(width)
     c.controlled_x((neg(0), neg(1), neg(2)), 3)
     low = lower(c)
-    mcx = GateOp(GateKind.MCX, 3, (neg(0), neg(1), neg(2)))
+    mcx = GateOp(GateKind.X, 3, (neg(0), neg(1), neg(2)))
     for basis in range(1 << width):
         state = basis
         for op in low.ops:
@@ -206,3 +212,24 @@ def test_all_toffoli_control_orders_parse_back():
         c = Circuit(3)
         c.ccx(a, b, t)
         assert parse_circuit_text(export_circuit_text(c)).ops == c.ops
+
+
+def _named_spans(circuit):
+    # The exported text carries stage names and spans but no quoted costs.
+    return [(s.name, s.start, s.stop) for s in circuit.stages]
+
+
+def test_exported_pipelines_resimulate_to_the_classical_result():
+    rng = random.Random(31)
+    for _ in range(30):
+        q, n = rng.randint(2, 5), rng.randint(0, 2)
+        top = (1 << q) - 1
+        thresholds = sorted(rng.sample(range(1, top + 1), rng.randint(1, min(3, top))))
+        levels = [rng.randint(0, top)] + [rng.randint(t, top) for t in thresholds]
+        config = ThresholdConfig(q, tuple(thresholds), tuple(levels))
+        image = ImageGray(n, q, tuple(rng.randint(0, top) for _ in range(4**n)))
+        c = build_pipeline(image, config)
+        parsed = parse_circuit_text(export_circuit_text(c))
+        assert _named_spans(parsed) == _named_spans(lower(c))
+        rerun = Circuit(parsed.width, c.layout).extend(parsed)
+        assert decode(run_tracked(rerun)) == classical_segment(image, config)
