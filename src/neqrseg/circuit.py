@@ -10,8 +10,9 @@ Its register tuples list qubit indices most significant bit first, so
 ``color[0]`` is the high bit of the gray value.  Stages are named,
 contiguous, non-overlapping spans of the op list; every other op lies in an
 unstaged gap, and ``Circuit.spans`` walks stages and gaps in order.  Stages
-drive cost accounting and survive text export/parse round trips, which is
-why a stage name must be non-empty and free of whitespace.
+and their quoted costs drive cost accounting and survive text export/parse
+round trips, which is why a stage name must be non-empty and free of
+whitespace, and a quoted formula name free of ``=`` as well.
 """
 from __future__ import annotations
 
@@ -258,6 +259,10 @@ class Circuit:
             raise ValueError(f"stage {self._open_stage!r} is still open")
         if name.split() != [name]:
             raise ValueError(f"stage name {name!r} is empty or holds whitespace")
+        if quoted is not None and (quoted[0].split() != [quoted[0]] or "=" in quoted[0]):
+            raise ValueError(
+                f"formula name {quoted[0]!r} is empty or holds whitespace or '='"
+            )
         if any(s.name == name for s in self.stages):
             raise ValueError(f"duplicate stage name {name!r}")
         self._open_stage = name

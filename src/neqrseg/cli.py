@@ -15,7 +15,6 @@ from .segmentation import (
     build_pipeline,
     comparison_table,
     default_thresholds,
-    pipeline_cost_formulas,
     reference_pipeline,
 )
 from .statevector import ShotRecord, records_to_csv, sample_shots
@@ -59,7 +58,6 @@ def _thresholds_from_args(args: argparse.Namespace) -> list[int]:
 
 def _cost_payload(circuit, q: int, threshold_count: int) -> dict:
     ledger = quantum_cost(circuit)
-    formulas = pipeline_cost_formulas(q)
     table = []
     for row in comparison_table(q):
         entry = {
@@ -76,8 +74,8 @@ def _cost_payload(circuit, q: int, threshold_count: int) -> dict:
         "schema": COST_SCHEMA,
         "q": q,
         "thresholds": threshold_count,
-        "paperTotal": formulas.total,
-        "componentSum": formulas.component_sum,
+        "paperTotal": table[-1]["quantumCost"],  # ours
+        "componentSum": ledger.formula_cost,
         "actualCost": ledger.actual_cost,
         "perStage": {
             name: counts.as_dict() for name, counts in ledger.stages.items()

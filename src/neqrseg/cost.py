@@ -1,4 +1,4 @@
-"""Weighted gate counting over circuit stages.
+"""Weighted gate counting over circuit stages, beside the costs they quote.
 
 Weights follow the usual reversible-logic convention: single-qubit gates,
 CNOT and reset cost 1 each, a Toffoli costs 5.  An X is tallied by its
@@ -6,7 +6,8 @@ control count (``GateOp.mnemonic``): none is a single-qubit gate, one a
 CNOT, two a Toffoli, and m >= 3 an MCX carrying a declared ladder weight of
 10*(m-1); MCX only appears in preparation, which is excluded from every
 total.  Negative controls are charged as if lowered to X-flanked positive
-controls: two extra single-qubit gates per negative control.
+controls: two extra single-qubit gates per negative control.  A stage's
+quoted closed form is its ``Stage.quoted``, the one source of quoted costs.
 """
 from __future__ import annotations
 
@@ -94,42 +95,30 @@ class CostLedger:
     cost_by_formula: dict[str, int] = field(default_factory=dict)
 
 
-def quantum_cost(
-    circuit: Circuit, counted_stages: list[str] | None = None
-) -> CostLedger:
-    """Tally gate costs for ``counted_stages`` (default: everything but prep).
+def quantum_cost(circuit: Circuit) -> CostLedger:
+    """Tally gate costs for every stage but prep, and for the unstaged gaps.
 
-    The gaps of ``circuit.spans()`` are bucketed under ``UNSTAGED`` and
-    counted only when no explicit stage list is given.  Unknown or repeated
-    stage names raise.
+    The gaps of ``circuit.spans()`` are bucketed under ``UNSTAGED``.  To cost
+    only some stages, cost ``circuit.subcircuit(names)``, which keeps their
+    quotes and refuses unknown or repeated names.
     """
     per_stage: dict[str, GateCounts] = {}
     for s, start, stop in circuit.spans():
         counts = per_stage.setdefault(UNSTAGED if s is None else s.name, GateCounts())
         for op in circuit.ops[start:stop]:
             counts.count(op)
-    has_loose = UNSTAGED in per_stage
-    if has_loose:  # the gap bucket is listed last
+    if UNSTAGED in per_stage:  # the gap bucket is listed last
         per_stage[UNSTAGED] = per_stage.pop(UNSTAGED)
 
-    if counted_stages is None:
-        counted = [s.name for s in circuit.stages if s.name != PREP_STAGE]
-        if has_loose:
-            counted.append(UNSTAGED)
-    else:
-        for i, name in enumerate(counted_stages):
-            if name != UNSTAGED and name not in (s.name for s in circuit.stages):
-                raise ValueError(f"unknown stage {name!r}")
-            if name in counted_stages[:i]:
-                raise ValueError(f"stage {name!r} listed more than once")
-        counted = [name for name in counted_stages if name != PREP_STAGE]
-
-    quotes = {s.name: s.quoted for s in circuit.stages if s.quoted is not None}
-    ledger = CostLedger(stages=per_stage, counted=tuple(counted))
-    for name in counted:
-        ledger.actual_cost += per_stage.get(name, GateCounts()).actual_cost
-        if name in quotes:
-            formula, value = quotes[name]
+    counted = tuple(name for name in per_stage if name != PREP_STAGE)
+    ledger = CostLedger(
+        stages=per_stage,
+        counted=counted,
+        actual_cost=sum(per_stage[name].actual_cost for name in counted),
+    )
+    for s in circuit.stages:
+        if s.name != PREP_STAGE and s.quoted is not None:
+            formula, value = s.quoted
             ledger.formula_cost += value
             ledger.cost_by_formula[formula] = (
                 ledger.cost_by_formula.get(formula, 0) + value

@@ -1,11 +1,11 @@
 """OpenQASM 2.0 subset export and parsing.
 
-The emitted subset is ``h``, ``x``, ``cx``, ``ccx`` and ``reset`` on a single
-register ``q``.  Negative controls are lowered to X-flanked positive controls
-and multi-controlled X gates are expanded through a borrowed-ancilla Toffoli
-ladder, so every exported line is directly executable.  ``// stage:<name>``
-comments mark stage starts and are recovered on parsing; a bare ``// stage:``
-closes a stage when unstaged ops follow, and a repeated name is an error.
+The emitted subset is ``reset`` and the ``qelib1.inc`` gates ``h``, ``x``,
+``cx`` and ``ccx`` on one register ``q``.  Negative controls become X-flanked
+positive controls and MCX gates borrowed-ancilla Toffolis, so every exported
+line is standard OpenQASM 2.0.  ``// stage:<name>``, plus `` <formula>=<value>``
+for a quoted cost, marks a stage start and a bare ``// stage:`` a gap after
+one; parsing recovers both and refuses a repeated or malformed marker.
 """
 from __future__ import annotations
 
@@ -38,23 +38,33 @@ def _mcx_ladder(controls: list[int], target: int, ancillas: list[int]) -> list[G
     return half + half
 
 
+def _positive_mcx(controls: list[int], target: int, width: int) -> list[GateOp]:
+    """All-positive MCX lowered to Toffolis on wires borrowed from ``width``."""
+    m = len(controls)
+    if m <= 2:
+        return [GateOp(GateKind.X, target, tuple(Control(qb) for qb in controls))]
+    used = set(controls) | {target}
+    free = [qb for qb in range(width) if qb not in used]
+    if len(free) >= m - 2:
+        return _mcx_ladder(controls, target, free[: m - 2])
+    if not free:
+        raise ValueError(f"lowering an MCX with {m} controls needs a spare qubit")
+    # Too few wires for one ladder: split on one borrowed wire ``a`` (Barenco
+    # et al. 1995, Lemma 7.3), [X a if c1, X target if c2 and a] twice.  The
+    # target flips by AND(c1)·AND(c2) and ``a`` is restored; each part
+    # borrows the other's controls, enough wires for its own ladder.
+    a, half = free[0], (m + 1) // 2
+    split = _positive_mcx(controls[:half], a, width) + _positive_mcx(
+        controls[half:] + [a], target, width
+    )
+    return split + split
+
+
 def _lower_op(op: GateOp, width: int) -> list[GateOp]:
     if not op.controls:
         return [op]
     flips = [GateOp(GateKind.X, c.qubit) for c in op.controls if not c.positive]
-    ctrl_qubits = [c.qubit for c in op.controls]
-    if len(ctrl_qubits) > 2:
-        used = set(ctrl_qubits) | {op.target}
-        free = [qb for qb in range(width) if qb not in used]
-        need = len(ctrl_qubits) - 2
-        if len(free) < need:
-            raise ValueError(
-                f"lowering an MCX with {len(ctrl_qubits)} controls needs {need} "
-                f"spare qubits; width {width} leaves only {len(free)}"
-            )
-        body = _mcx_ladder(ctrl_qubits, op.target, free[:need])
-    else:
-        body = [GateOp(op.kind, op.target, tuple(Control(qb) for qb in ctrl_qubits))]
+    body = _positive_mcx([c.qubit for c in op.controls], op.target, width)
     return flips + body + flips
 
 
@@ -78,11 +88,12 @@ def _format_op(op: GateOp) -> str:
 def export_circuit_text(circuit: Circuit) -> str:
     """Serialize the lowered circuit, one statement per line."""
     low = lower(circuit)
-    lines = ["OPENQASM 2.0;", f"qreg q[{low.width}];"]
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{low.width}];"]
     after_stage = False
     for s, start, stop in low.spans():
         if s is not None:
-            lines.append(f"// stage:{s.name}")
+            quote = "" if s.quoted is None else " {}={}".format(*s.quoted)
+            lines.append(f"// stage:{s.name}{quote}")
         elif after_stage:
             lines.append("// stage:")
         after_stage = s is not None
@@ -93,7 +104,8 @@ def export_circuit_text(circuit: Circuit) -> str:
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]\s*;$")
 _GATE_RE = re.compile(r"^(\w+)\s+(.*?)\s*;$")
 _QUBIT_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$")
-_STAGE_RE = re.compile(r"^//\s*stage:\s*(\S*)\s*$")
+_MARKER_RE = re.compile(r"//\s*stage:")
+_STAGE_RE = re.compile(r"//\s*stage:(?:(\S+)(?: ([^\s=]+)=(-?\d+))?)?")
 
 # mnemonic -> (kind, qubit count); the last qubit is the target
 _GATES = {"h": (GateKind.H, 1), "x": (GateKind.X, 1), "reset": (GateKind.RESET, 1),
@@ -104,21 +116,23 @@ def parse_circuit_text(text: str) -> Circuit:
     """Parse the exported subset back into a circuit (stages included)."""
     width: int | None = None
     ops: list[GateOp] = []
-    # (op index, stage name or None-to-close) events in order of appearance
-    events: list[tuple[int, str | None]] = []
+    # (op index, stage name or None-to-close, quote) in order of appearance
+    events: list[tuple[int, str | None, tuple[str, int] | None]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("//"):
-            m = _STAGE_RE.match(line)
-            if m:
-                name = m.group(1) or None
-                if name is not None and any(seen == name for _, seen in events):
-                    raise QasmParseError(line_no, f"repeated stage marker {name!r}")
-                events.append((len(ops), name))
+        if _MARKER_RE.match(line):
+            m = _STAGE_RE.fullmatch(line)
+            if not m:
+                raise QasmParseError(line_no, f"malformed stage marker: {line!r}")
+            name, formula, value = m.groups()
+            if name is not None and any(seen == name for _, seen, _ in events):
+                raise QasmParseError(line_no, f"repeated stage marker {name!r}")
+            quoted = None if formula is None else (formula, int(value))
+            events.append((len(ops), name, quoted))
             continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
+        if line.startswith(("//", "OPENQASM", "include")):
             continue
         if line.startswith("qreg"):
             m = _QREG_RE.match(line)
@@ -166,12 +180,8 @@ def parse_circuit_text(text: str) -> Circuit:
         raise QasmParseError(1, "missing qreg declaration")
     circuit = Circuit(width)
     circuit.ops.extend(ops)  # every qubit was checked against the qreg
-    open_name: str | None = None
-    open_start = 0
-    for at, name in events:
-        if open_name is not None:
-            circuit.stages.append(Stage(open_name, open_start, at))
-        open_name, open_start = name, at
-    if open_name is not None:
-        circuit.stages.append(Stage(open_name, open_start, len(ops)))
+    stops = [at for at, _, _ in events[1:]] + [len(ops)]
+    for (start, name, quoted), stop in zip(events, stops):
+        if name is not None:
+            circuit.stages.append(Stage(name, start, stop, quoted))
     return circuit

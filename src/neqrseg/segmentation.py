@@ -238,10 +238,10 @@ def build_pipeline(image: ImageGray, config: ThresholdConfig) -> Circuit:
 class PipelineCostFormulas:
     """Quoted closed-form costs for the two-threshold pipeline at a given q.
 
-    ``total`` is the headline figure 60q - 6; ``component_sum`` adds up the
-    quoted parts (two comparators, the segmentation block and the threshold
-    loads) and comes to 60q - 16.  The two disagree by construction; both are
-    reported rather than reconciled.
+    Each part sums stage quotes (``Stage.quoted``) of ``reference_pipeline(q)``,
+    so q = 1 raises; ``component_sum`` sums them all, 60q - 16.  ``total`` is
+    the published headline 60q - 6 of ``comparison_table``.  The two disagree
+    by construction; both are reported rather than reconciled.
     """
 
     q: int
@@ -253,16 +253,15 @@ class PipelineCostFormulas:
 
 
 def pipeline_cost_formulas(q: int) -> PipelineCostFormulas:
-    comparator = comparator_formula_cost(q)
-    segmentation = 21 * q + 10
-    threshold_init = 3 * q
+    ledger = quantum_cost(reference_pipeline(q))
+    quoted = ledger.cost_by_formula
     return PipelineCostFormulas(
         q=q,
-        comparator=comparator,
-        segmentation=segmentation,
-        threshold_init=threshold_init,
-        total=60 * q - 6,
-        component_sum=2 * comparator + segmentation + threshold_init,
+        comparator=comparator_formula_cost(q),
+        segmentation=quoted["s1-paper"] + quoted["s2-paper"] + quoted["s3-paper"],
+        threshold_init=quoted["threshold-init-paper"] + quoted["threshold-reset-paper"],
+        total=comparison_table(q)[-1].quantum_cost,
+        component_sum=ledger.formula_cost,
     )
 
 
@@ -287,14 +286,13 @@ def reference_pipeline(q: int, count: int = 2) -> Circuit:
 
 
 def comparison_table(q: int) -> list[ComparisonRow]:
-    """Cross-algorithm cost comparison at gray depth ``q``."""
-    ours_total = pipeline_cost_formulas(q).total
-    ours_actual = None
-    if (1 << q) - 1 >= 2:
-        ours_actual = quantum_cost(reference_pipeline(q)).actual_cost
+    """Published costs at gray depth ``q``, ours last with its measured cost."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    ours_actual = quantum_cost(reference_pipeline(q)).actual_cost if q > 1 else None
     return [
         ComparisonRow("IS", 1, 3 * q - 1, 127 * q - 91, 2),
         ComparisonRow("NMQCIS", 1, 18, 48 * q - 6, 2),
         ComparisonRow("DQIS", 2, 5, 70 * q - 14, 2),
-        ComparisonRow("ours", 2, 4, ours_total, 3, actual_cost=ours_actual),
+        ComparisonRow("ours", 2, 4, 60 * q - 6, 3, actual_cost=ours_actual),
     ]

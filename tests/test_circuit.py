@@ -79,6 +79,10 @@ def test_stage_reopen_and_nesting_rejected():
         with pytest.raises(ValueError, match="whitespace"):
             with c.stage(bad):
                 pass
+    for bad in ("", "a b", "a=b"):
+        with pytest.raises(ValueError, match="formula name"):
+            with c.stage("b", (bad, 1)):
+                pass
 
 
 def test_subcircuit_and_without_stages():

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 import neqrseg
-from neqrseg import ImageGray, parse_circuit_text, read_image_pgm, write_image_pgm
+from neqrseg import (
+    ImageGray,
+    parse_circuit_text,
+    quantum_cost,
+    read_image_pgm,
+    reference_pipeline,
+    write_image_pgm,
+)
 from neqrseg.cli import _majority_image, main
 from neqrseg.statevector import ShotRecord
 from conftest import SEGMENTED_4X4
@@ -161,6 +168,15 @@ def test_cost_command_q1(capsys):
     assert "actualCost" not in ours
 
 
+@pytest.mark.parametrize("q,count,component_sum", [(3, 3, 242), (1, 1, 20)])
+def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, component_sum):
+    assert run_cli("cost", "--q", q, "--thresholds", count) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ledger = quantum_cost(reference_pipeline(q, count))
+    assert payload["componentSum"] == component_sum == ledger.formula_cost
+    assert payload["actualCost"] == ledger.actual_cost
+
+
 @pytest.mark.parametrize(
     "argv,fragment",
     [
@@ -222,18 +238,20 @@ def test_module_invocation_smoke():
     assert json.loads(proc.stdout)["paperTotal"] == 174
 
 
-def test_failed_output_leaves_no_file(tmp_path, capsys):
-    source = tmp_path / "in.pgm"
-    source.write_bytes(write_image_pgm(ImageGray(4, 1, (0, 1) * 128)))
+def test_failed_output_leaves_no_file(tmp_path, sample_pgm, capsys, monkeypatch):
+    def fail(circuit):
+        raise ValueError("export failed")
+
+    monkeypatch.setattr("neqrseg.cli.export_circuit_text", fail)
     out, report, qasm = tmp_path / "out.pgm", tmp_path / "c.json", tmp_path / "q.qasm"
     code = run_cli(
         "segment",
-        "--input", source,
-        "--t", "1",
+        "--input", sample_pgm,
+        "--t", "2,4",
         "--out", out,
         "--cost-report", report,
         "--export-qasm", qasm,
     )
     assert code == 1
-    assert "spare" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() and not report.exists() and not qasm.exists()

@@ -20,6 +20,7 @@ from neqrseg import (
     parse_circuit_text,
     pos,
     neg,
+    quantum_cost,
     run_tracked,
 )
 
@@ -30,6 +31,7 @@ def test_export_header_and_simple_gates():
     text = export_circuit_text(c)
     assert text.splitlines() == [
         "OPENQASM 2.0;",
+        'include "qelib1.inc";',
         "qreg q[3];",
         "h q[0];",
         "x q[1];",
@@ -42,7 +44,7 @@ def test_export_header_and_simple_gates():
 def test_negative_control_exports_as_x_flank():
     c = Circuit(2)
     c.cx(neg(0), 1)
-    body = export_circuit_text(c).splitlines()[2:]
+    body = export_circuit_text(c).splitlines()[3:]
     assert body == ["x q[0];", "cx q[0],q[1];", "x q[0];"]
 
 
@@ -56,8 +58,8 @@ def test_stage_comments_round_trip():
         c.reset(2)
     text = export_circuit_text(c)
     lines = text.splitlines()
-    assert lines[3] == "// stage:alpha"
-    assert lines[6] == "// stage:"  # unstaged gap after alpha
+    assert lines[4] == "// stage:alpha"
+    assert lines[7] == "// stage:"  # unstaged gap after alpha
     parsed = parse_circuit_text(text)
     assert parsed.ops == lower(c).ops
     assert parsed.stages == lower(c).stages
@@ -146,6 +148,26 @@ def test_mcx_ladder_semantics_exhaustive():
             assert state == apply_to_basis(mcx, basis)
 
 
+def test_mcx_split_on_one_borrowed_wire_exhaustive():
+    """With one or two spare wires, often fewer than the ladder's m - 2, the
+    lowered MCX (a ladder, or the split on one borrowed wire of Barenco et al.
+    1995, Lemma 7.3) must act like MCX for every basis state, spares included."""
+    for m in range(3, 9):
+        for spare in (1, 2):
+            width = m + 1 + spare
+            c = Circuit(width)
+            controls = tuple(range(m))
+            c.controlled_x(controls, m)
+            low = lower(c)
+            assert all(len(op.controls) <= 2 for op in low.ops)
+            mcx = GateOp(GateKind.X, m, tuple(pos(qb) for qb in controls))
+            for basis in range(1 << width):
+                state = basis
+                for op in low.ops:
+                    state = apply_to_basis(op, state)
+                assert state == apply_to_basis(mcx, basis), (m, spare, basis)
+
+
 def test_mcx_with_negative_controls_lowered_correctly():
     width = 7
     c = Circuit(width)
@@ -183,6 +205,10 @@ def test_mcx_without_room_is_rejected():
             5,
             "repeated stage marker",
         ),
+        ("OPENQASM 2.0;\nqreg q[1];\n// stage:work 41\n", 3, "malformed stage marker"),
+        ("OPENQASM 2.0;\nqreg q[1];\n// stage: two words\n", 3, "malformed stage marker"),
+        ("OPENQASM 2.0;\nqreg q[1];\n// stage: f=3\n", 3, "malformed stage marker"),
+        ("OPENQASM 2.0;\nqreg q[1];\n// stage:a f=3 g=4\n", 3, "malformed stage marker"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -214,11 +240,6 @@ def test_all_toffoli_control_orders_parse_back():
         assert parse_circuit_text(export_circuit_text(c)).ops == c.ops
 
 
-def _named_spans(circuit):
-    # The exported text carries stage names and spans but no quoted costs.
-    return [(s.name, s.start, s.stop) for s in circuit.stages]
-
-
 def test_exported_pipelines_resimulate_to_the_classical_result():
     rng = random.Random(31)
     for _ in range(30):
@@ -230,6 +251,25 @@ def test_exported_pipelines_resimulate_to_the_classical_result():
         image = ImageGray(n, q, tuple(rng.randint(0, top) for _ in range(4**n)))
         c = build_pipeline(image, config)
         parsed = parse_circuit_text(export_circuit_text(c))
-        assert _named_spans(parsed) == _named_spans(lower(c))
+        assert parsed.stages == lower(c).stages  # quotes included
+        got, want = quantum_cost(parsed), quantum_cost(lower(c))
+        assert got.actual_cost == want.actual_cost
+        assert got.formula_cost == want.formula_cost
+        assert got.cost_by_formula == want.cost_by_formula
         rerun = Circuit(parsed.width, c.layout).extend(parsed)
         assert decode(run_tracked(rerun)) == classical_segment(image, config)
+
+
+@pytest.mark.parametrize("n,q", [(4, 1), (5, 2)])
+def test_exports_with_too_few_wires_for_one_ladder_resimulate(n, q):
+    # The 2n-control preparation MCX needs 2n - 2 spare wires for one ladder,
+    # but a pipeline leaves only 2q + 3.
+    rng = random.Random(n)
+    top = (1 << q) - 1
+    config = ThresholdConfig.with_default_levels(q, (1,) if q == 1 else (1, 2))
+    image = ImageGray(n, q, tuple(rng.randint(0, top) for _ in range(4**n)))
+    c = build_pipeline(image, config)
+    parsed = parse_circuit_text(export_circuit_text(c))
+    assert parsed.stages == lower(c).stages
+    rerun = Circuit(parsed.width, c.layout).extend(parsed)
+    assert decode(run_tracked(rerun)) == classical_segment(image, config)

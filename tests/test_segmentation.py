@@ -321,10 +321,17 @@ def test_pipeline_q_mismatch():
 def test_pipeline_cost_formulas_q3():
     f = pipeline_cost_formulas(3)
     assert (f.comparator, f.segmentation, f.threshold_init) == (41, 73, 9)
-    assert f.total == 174
-    assert f.component_sum == 164
+    for q in range(2, 9):
+        f = pipeline_cost_formulas(q)
+        assert f.comparator == 18 * q - 13
+        assert f.segmentation == 21 * q + 10
+        assert f.threshold_init == 3 * q
+        assert f.total == 60 * q - 6
+        assert f.component_sum == 60 * q - 16
     with pytest.raises(ValueError, match="q must be"):
         pipeline_cost_formulas(0)
+    with pytest.raises(ValueError):  # no two-threshold pipeline at q = 1
+        pipeline_cost_formulas(1)
 
 
 def test_pipeline_formula_cost_matches_component_sum(sample_4x4, sample_config):
