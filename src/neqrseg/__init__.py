@@ -18,7 +18,7 @@ from .circuit import (
     pos,
 )
 from .comparator import ComparatorSpec, build_comparator, comparator_formula_cost
-from .cost import CostLedger, GateCounts, mcx_weight, quantum_cost
+from .cost import CostLedger, GateCounts, quantum_cost
 from .image import ImageGray, read_image_pgm, write_image_pgm
 from .neqr import build_preparation, decode
 from .qasm import QasmParseError, export_circuit_text, lower, parse_circuit_text
@@ -90,7 +90,6 @@ __all__ = [
     "extract_bits",
     "insert_bits",
     "lower",
-    "mcx_weight",
     "neg",
     "parse_circuit_text",
     "pipeline_cost_formulas",

@@ -12,7 +12,8 @@ contiguous, non-overlapping spans of the op list; every other op lies in an
 unstaged gap, and ``Circuit.spans`` walks stages and gaps in order.  Stages
 and their quoted costs drive cost accounting and survive text export/parse
 round trips, which is why a stage name must be non-empty and free of
-whitespace, and a quoted formula name free of ``=`` as well.
+whitespace, a quoted formula name free of ``=`` as well, and a quoted value
+an int.
 """
 from __future__ import annotations
 
@@ -263,6 +264,8 @@ class Circuit:
             raise ValueError(
                 f"formula name {quoted[0]!r} is empty or holds whitespace or '='"
             )
+        if quoted is not None and (isinstance(quoted[1], bool) or not isinstance(quoted[1], int)):
+            raise ValueError(f"quoted value {quoted[1]!r} is not an int")
         if any(s.name == name for s in self.stages):
             raise ValueError(f"duplicate stage name {name!r}")
         self._open_stage = name

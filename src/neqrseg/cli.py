@@ -21,7 +21,7 @@ from .statevector import ShotRecord, records_to_csv, sample_shots
 from .tracked import assert_no_collision, run_tracked
 from .neqr import decode
 
-COST_SCHEMA = 1
+COST_SCHEMA = 2
 
 
 def _parse_value_list(text: str, what: str) -> list[int]:
@@ -29,10 +29,7 @@ def _parse_value_list(text: str, what: str) -> list[int]:
     for token in text.split(","):
         token = token.strip()
         try:
-            if token.lower().startswith("0b"):
-                values.append(int(token, 2))
-            else:
-                values.append(int(token, 10))
+            values.append(int(token, 2 if token.lower().startswith("0b") else 10))
         except ValueError:
             raise ValueError(
                 f"bad {what} {token!r}: use decimal or 0b binary"

@@ -1,19 +1,22 @@
 """Weighted gate counting over circuit stages, beside the costs they quote.
 
-Weights follow the usual reversible-logic convention: single-qubit gates,
-CNOT and reset cost 1 each, a Toffoli costs 5.  An X is tallied by its
-control count (``GateOp.mnemonic``): none is a single-qubit gate, one a
-CNOT, two a Toffoli, and m >= 3 an MCX carrying a declared ladder weight of
-10*(m-1); MCX only appears in preparation, which is excluded from every
-total.  Negative controls are charged as if lowered to X-flanked positive
-controls: two extra single-qubit gates per negative control.  A stage's
-quoted closed form is its ``Stage.quoted``, the one source of quoted costs.
+Each op is costed as the QASM exporter emits it: ``qasm.lower_op`` is the
+one definition of what a gate lowers to, so the ledger of a circuit equals
+the ledger of its exported text, stage by stage.  A lowered op is an ``h``,
+``x``, ``cx``, ``ccx`` or ``reset`` with positive controls.  Weights follow
+the usual reversible-logic convention: single-qubit gates, CNOT and reset
+cost 1 each, a Toffoli costs 5.  Preparation is tallied but excluded from
+every total.  A stage's quoted closed form is its ``Stage.quoted``, the one
+source of quoted costs.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .circuit import Circuit, GateOp
+from .circuit import Circuit, Control, GateKind, GateOp
+from .qasm import lower_op
 
 TOFFOLI_WEIGHT = 5
 
@@ -23,55 +26,48 @@ PREP_STAGE = "prep"
 UNSTAGED = "(no stage)"
 
 
-def mcx_weight(num_controls: int) -> int:
-    """Declared cost of a multi-controlled X with ``num_controls`` controls."""
-    if num_controls < 3:
-        raise ValueError("MCX has at least 3 controls")
-    return 2 * (num_controls - 1) * TOFFOLI_WEIGHT
+@lru_cache(maxsize=None)
+def _lowered_tally(
+    kind: GateKind, controls: int, negative: int, width: int
+) -> tuple[int, int, int, int]:
+    """``GateCounts`` fields of ``lower_op`` on a ``kind`` gate with
+    ``controls`` controls, ``negative`` of them negative, at ``width``.  They
+    depend on nothing else, so one stand-in op on the low wires is lowered."""
+    op = GateOp(kind, controls, tuple(Control(qb, qb >= negative) for qb in range(controls)))
+    gates = Counter(low.mnemonic for low in lower_op(op, width))
+    return gates["h"] + gates["x"], gates["cx"], gates["ccx"], gates["reset"]
 
 
 @dataclass
 class GateCounts:
-    """Gate tallies for one stage, with negative controls already lowered."""
+    """Gate tallies for one stage, as its ops are exported."""
 
     single_qubit: int = 0
     cnot: int = 0
     toffoli: int = 0
-    mcx: int = 0
     reset: int = 0
-    mcx_weight_total: int = 0
 
-    def count(self, op: GateOp) -> None:
-        self.single_qubit += 2 * (op.mask ^ op.value).bit_count()
-        match op.mnemonic:
-            case "h" | "x":
-                self.single_qubit += 1
-            case "cx":
-                self.cnot += 1
-            case "ccx":
-                self.toffoli += 1
-            case "mcx":
-                self.mcx += 1
-                self.mcx_weight_total += mcx_weight(len(op.controls))
-            case "reset":
-                self.reset += 1
+    def count(self, ops: list[GateOp], width: int) -> None:
+        """Add ``ops`` of a circuit of ``width`` qubits, each as lowered."""
+        shapes = Counter(
+            (op.kind, len(op.controls), (op.mask ^ op.value).bit_count()) for op in ops
+        )
+        for shape, times in shapes.items():
+            single, cnot, toffoli, reset = _lowered_tally(*shape, width)
+            self.single_qubit += times * single
+            self.cnot += times * cnot
+            self.toffoli += times * toffoli
+            self.reset += times * reset
 
     @property
     def actual_cost(self) -> int:
-        return (
-            self.single_qubit
-            + self.cnot
-            + TOFFOLI_WEIGHT * self.toffoli
-            + self.mcx_weight_total
-            + self.reset
-        )
+        return self.single_qubit + self.cnot + TOFFOLI_WEIGHT * self.toffoli + self.reset
 
     def as_dict(self) -> dict[str, int]:
         return {
             "singleQubit": self.single_qubit,
             "cnot": self.cnot,
             "toffoli": self.toffoli,
-            "mcx": self.mcx,
             "reset": self.reset,
             "cost": self.actual_cost,
         }
@@ -100,13 +96,14 @@ def quantum_cost(circuit: Circuit) -> CostLedger:
 
     The gaps of ``circuit.spans()`` are bucketed under ``UNSTAGED``.  To cost
     only some stages, cost ``circuit.subcircuit(names)``, which keeps their
-    quotes and refuses unknown or repeated names.
+    quotes and refuses unknown or repeated names.  An op that cannot be
+    exported (an MCX with no spare wire) raises ``ValueError``, as exporting
+    it does.
     """
     per_stage: dict[str, GateCounts] = {}
     for s, start, stop in circuit.spans():
         counts = per_stage.setdefault(UNSTAGED if s is None else s.name, GateCounts())
-        for op in circuit.ops[start:stop]:
-            counts.count(op)
+        counts.count(circuit.ops[start:stop], circuit.width)
     if UNSTAGED in per_stage:  # the gap bucket is listed last
         per_stage[UNSTAGED] = per_stage.pop(UNSTAGED)
 
@@ -120,7 +117,5 @@ def quantum_cost(circuit: Circuit) -> CostLedger:
         if s.name != PREP_STAGE and s.quoted is not None:
             formula, value = s.quoted
             ledger.formula_cost += value
-            ledger.cost_by_formula[formula] = (
-                ledger.cost_by_formula.get(formula, 0) + value
-            )
+            ledger.cost_by_formula[formula] = ledger.cost_by_formula.get(formula, 0) + value
     return ledger

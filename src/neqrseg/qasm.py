@@ -1,11 +1,13 @@
 """OpenQASM 2.0 subset export and parsing.
 
 The emitted subset is ``reset`` and the ``qelib1.inc`` gates ``h``, ``x``,
-``cx`` and ``ccx`` on one register ``q``.  Negative controls become X-flanked
-positive controls and MCX gates borrowed-ancilla Toffolis, so every exported
-line is standard OpenQASM 2.0.  ``// stage:<name>``, plus `` <formula>=<value>``
-for a quoted cost, marks a stage start and a bare ``// stage:`` a gap after
-one; parsing recovers both and refuses a repeated or malformed marker.
+``cx`` and ``ccx`` on one register ``q``.  ``lower_op`` turns negative
+controls into X-flanked positive controls and MCX gates into borrowed-ancilla
+Toffolis, so every exported line is standard OpenQASM 2.0; the cost ledger
+tallies what it emits.  ``// stage:<name>``, plus `` <formula>=<value>`` for
+a quoted cost, marks a stage start and a bare ``// stage:`` a gap after one;
+parsing recovers both, and refuses a repeated or malformed marker and any
+header but ``OPENQASM 2.0;`` and ``include "qelib1.inc";``.
 """
 from __future__ import annotations
 
@@ -60,7 +62,8 @@ def _positive_mcx(controls: list[int], target: int, width: int) -> list[GateOp]:
     return split + split
 
 
-def _lower_op(op: GateOp, width: int) -> list[GateOp]:
+def lower_op(op: GateOp, width: int) -> list[GateOp]:
+    """``op`` as exported at ``width``: gates with at most two positive controls."""
     if not op.controls:
         return [op]
     flips = [GateOp(GateKind.X, c.qubit) for c in op.controls if not c.positive]
@@ -75,7 +78,7 @@ def lower(circuit: Circuit) -> Circuit:
     out = Circuit(circuit.width, circuit.layout)
     for s, start, stop in circuit.spans():
         out.append_span(
-            s, [low for op in circuit.ops[start:stop] for low in _lower_op(op, out.width)]
+            s, [low for op in circuit.ops[start:stop] for low in lower_op(op, out.width)]
         )
     return out
 
@@ -88,7 +91,7 @@ def _format_op(op: GateOp) -> str:
 def export_circuit_text(circuit: Circuit) -> str:
     """Serialize the lowered circuit, one statement per line."""
     low = lower(circuit)
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{low.width}];"]
+    lines = [*_HEADER, f"qreg q[{low.width}];"]
     after_stage = False
     for s, start, stop in low.spans():
         if s is not None:
@@ -101,6 +104,8 @@ def export_circuit_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the only header lines written, and the only ones the parser accepts
+_HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]\s*;$")
 _GATE_RE = re.compile(r"^(\w+)\s+(.*?)\s*;$")
 _QUBIT_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$")
@@ -132,6 +137,8 @@ def parse_circuit_text(text: str) -> Circuit:
             quoted = None if formula is None else (formula, int(value))
             events.append((len(ops), name, quoted))
             continue
+        if line.startswith(("OPENQASM", "include")) and line not in _HEADER:
+            raise QasmParseError(line_no, f"unsupported header {line!r}")
         if line.startswith(("//", "OPENQASM", "include")):
             continue
         if line.startswith("qreg"):

@@ -177,7 +177,5 @@ def probabilities(state: QuantumState, qubits: list[int]) -> dict[str, float]:
 
 def records_to_csv(records: list[ShotRecord]) -> str:
     """Histogram rows as ``bitstring,count,probability`` CSV text."""
-    lines = ["bitstring,count,probability"]
-    for r in records:
-        lines.append(f"{r.bitstring},{r.count},{r.probability}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{r.bitstring},{r.count},{r.probability}" for r in records]
+    return "\n".join(["bitstring,count,probability", *rows]) + "\n"

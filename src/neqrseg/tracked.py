@@ -128,11 +128,8 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
         raise ValueError(
             f"initial basis index {initial} does not fit width {circuit.width}"
         )
-    prep_start = prep_stop = 0
-    for s in circuit.stages:
-        if s.name == "prep":
-            prep_start, prep_stop = s.start, s.stop
-            break
+    prep = next((s for s in circuit.stages if s.name == "prep"), None)
+    prep_start, prep_stop = (prep.start, prep.stop) if prep else (0, 0)
     branches = np.array([initial], dtype=np.int64)
     h_seen: set[int] = set()
     for i, op in enumerate(circuit.ops):

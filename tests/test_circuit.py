@@ -83,6 +83,10 @@ def test_stage_reopen_and_nesting_rejected():
         with pytest.raises(ValueError, match="formula name"):
             with c.stage("b", (bad, 1)):
                 pass
+    for bad in (2.5, True, "7"):
+        with pytest.raises(ValueError, match="quoted value"):
+            with c.stage("b", ("f", bad)):
+                pass
 
 
 def test_subcircuit_and_without_stages():

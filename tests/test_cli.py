@@ -126,7 +126,7 @@ def test_cost_report_and_qasm_export(tmp_path, sample_pgm):
     )
     assert code == 0
     payload = json.loads(report.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["q"] == 3
     assert payload["thresholds"] == 2
     assert payload["paperTotal"] == 174
@@ -148,7 +148,7 @@ def test_cost_report_and_qasm_export(tmp_path, sample_pgm):
 def test_cost_command_prints_json(capsys):
     assert run_cli("cost", "--q", "8") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["q"] == 8
     assert payload["paperTotal"] == 474
     assert payload["componentSum"] == 464

@@ -6,7 +6,6 @@ from neqrseg import (
     Circuit,
     ComparatorSpec,
     build_comparator,
-    mcx_weight,
     neg,
     parse_circuit_text,
     quantum_cost,
@@ -73,12 +72,19 @@ def test_unknown_stage_rejected():
 
 
 def test_mcx_weight_schedule():
-    assert mcx_weight(3) == 20
-    assert mcx_weight(4) == 30
+    # costed as exported: one spare wire gives a 4-Toffoli borrowed ladder
+    c = Circuit(5)
+    with c.stage("work"):
+        c.controlled_x((0, 1, 2), 3)
+    counts = quantum_cost(c).stages["work"]
+    assert counts.toffoli == 4
+    assert counts.actual_cost == 20
+    # with no spare wire it cannot be exported, so it cannot be costed
     c = Circuit(4)
     with c.stage("work"):
         c.controlled_x((0, 1, 2), 3)
-    assert quantum_cost(c).actual_cost == 20
+    with pytest.raises(ValueError, match="spare"):
+        quantum_cost(c)
 
 
 def test_comparator_cost_q3():
@@ -120,7 +126,6 @@ def test_counts_as_dict_keys():
         "singleQubit": 1,
         "cnot": 1,
         "toffoli": 1,
-        "mcx": 0,
         "reset": 1,
         "cost": 8,
     }

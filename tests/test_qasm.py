@@ -102,6 +102,10 @@ def _min_width(kind):
     return {"h": 1, "x": 1, "reset": 1, "cx": 2, "ccx": 3, "mcx": 5}[kind]
 
 
+def _per_stage(circuit):
+    return {name: counts.as_dict() for name, counts in quantum_cost(circuit).stages.items()}
+
+
 def test_random_circuits_round_trip():
     rng = random.Random(20240817)
     for trial in range(40):
@@ -127,6 +131,8 @@ def test_random_circuits_round_trip():
         assert parsed.stages == low.stages
         # exporting an already-lowered circuit is a fixed point
         assert export_circuit_text(parsed) == text
+        # the ledger costs each op as it is exported
+        assert _per_stage(c) == _per_stage(low)
 
 
 def test_mcx_ladder_semantics_exhaustive():
@@ -200,6 +206,8 @@ def test_mcx_without_room_is_rejected():
         ("OPENQASM 2.0;\nqreg q[2];\nx q[0]\n", 3, "malformed"),
         ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n", 3, "also be a control"),
         ("OPENQASM 2.0;\n", 1, "missing qreg"),
+        ("OPENQASM 3.0;\nqreg q[1];\nx q[0];\n", 1, "unsupported header"),
+        ('OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\n', 2, "unsupported header"),
         (
             "OPENQASM 2.0;\nqreg q[1];\n// stage:a\nx q[0];\n// stage:a\nx q[0];\n",
             5,
