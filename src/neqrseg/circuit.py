@@ -22,6 +22,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
+# The NEQR preparation stage: the only stage that may hold H, and never costed.
+PREP_STAGE = "prep"
+
 
 class GateKind(Enum):
     """H, reset, or X with any number of controls (NOT, CNOT, Toffoli, MCX)."""
@@ -136,11 +139,6 @@ class RegisterLayout:
     @property
     def width(self) -> int:
         return 2 * self.q + 2 * self.n + 4
-
-    @property
-    def measurement_qubits(self) -> tuple[int, ...]:
-        """Qubits read out for histograms: color then position, MSB first."""
-        return self.color + self.position
 
     def color_value(self, basis_index: int) -> int:
         return basis_index >> 2 * self.n & ((1 << self.q) - 1)
@@ -287,10 +285,6 @@ class Circuit:
 
     def stage_names(self) -> list[str]:
         return [s.name for s in self.stages]
-
-    def stage_ops(self, name: str) -> list[GateOp]:
-        s = self.stage_named(name)
-        return self.ops[s.start : s.stop]
 
     def spans(self) -> Iterator[tuple[Stage | None, int, int]]:
         """Walk the op list once, in order, as ``(stage, start, stop)`` spans.

@@ -6,7 +6,6 @@ import json
 import sys
 from pathlib import Path
 
-from .circuit import RegisterLayout
 from .cost import quantum_cost
 from .image import ImageGray, read_image_pgm, write_image_pgm
 from .qasm import export_circuit_text
@@ -81,15 +80,12 @@ def _cost_payload(circuit, q: int, threshold_count: int) -> dict:
     }
 
 
-def _majority_image(
-    records: list[ShotRecord], q: int, n: int
-) -> tuple[ImageGray, list[int]]:
-    """Per-position majority color over the sampled records.
+def _majority_image(records: list[ShotRecord], layout) -> tuple[ImageGray, list[int]]:
+    """Per-position majority color over records keyed by ``layout``'s readout.
 
     Returns the image and the list of positions whose color was not
     unanimous (ties break toward the most frequent, then smallest value).
     """
-    layout = RegisterLayout(n, q)
     votes: dict[int, dict[int, int]] = {}
     for r in records:
         key = int(r.bitstring, 2)
@@ -108,7 +104,7 @@ def _majority_image(
         if len(tally) > 1:
             disputed.append(label)
         pixels.append(max(sorted(tally), key=lambda c: tally[c]))
-    return ImageGray(n, q, tuple(pixels)), disputed
+    return ImageGray(layout.n, layout.q, tuple(pixels)), disputed
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
@@ -134,7 +130,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         if args.shots < 1:
             raise ValueError("--shots must be at least 1")
         records = sample_shots(circuit, args.shots, seed=args.seed)
-        result, disputed = _majority_image(records, image.q, image.n)
+        result, disputed = _majority_image(records, circuit.layout)
         for label in disputed:
             print(
                 f"warning: position {label:0{2 * image.n}b} was not unanimous; "

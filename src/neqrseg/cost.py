@@ -15,12 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .circuit import Circuit, Control, GateKind, GateOp
+from .circuit import PREP_STAGE, Circuit, Control, GateKind, GateOp
 from .qasm import lower_op
 
 TOFFOLI_WEIGHT = 5
 
-PREP_STAGE = "prep"
 # Ledger key of the ops outside every stage.  It holds a space, which no
 # stage name can (``Circuit.stage`` and the QASM stage marker refuse one).
 UNSTAGED = "(no stage)"
@@ -77,15 +76,14 @@ class GateCounts:
 class CostLedger:
     """Per-stage counts plus the measured and formula-based totals.
 
-    ``actual_cost`` is the weighted count over the counted stages;
-    ``formula_cost`` sums the closed-form values quoted by those stages
-    (``Stage.quoted``, set by the builders); ``cost_by_formula`` breaks that
-    sum down by formula name.  The preparation stage never contributes to
-    either total.
+    ``actual_cost`` is the weighted count over every ``stages`` entry but
+    ``PREP_STAGE``; ``formula_cost`` sums the closed-form values quoted by
+    those stages (``Stage.quoted``, set by the builders); ``cost_by_formula``
+    breaks that sum down by formula name.  The preparation stage is tallied
+    but never contributes to either total.
     """
 
     stages: dict[str, GateCounts] = field(default_factory=dict)
-    counted: tuple[str, ...] = ()
     actual_cost: int = 0
     formula_cost: int = 0
     cost_by_formula: dict[str, int] = field(default_factory=dict)
@@ -107,11 +105,9 @@ def quantum_cost(circuit: Circuit) -> CostLedger:
     if UNSTAGED in per_stage:  # the gap bucket is listed last
         per_stage[UNSTAGED] = per_stage.pop(UNSTAGED)
 
-    counted = tuple(name for name in per_stage if name != PREP_STAGE)
     ledger = CostLedger(
         stages=per_stage,
-        counted=counted,
-        actual_cost=sum(per_stage[name].actual_cost for name in counted),
+        actual_cost=sum(c.actual_cost for name, c in per_stage.items() if name != PREP_STAGE),
     )
     for s in circuit.stages:
         if s.name != PREP_STAGE and s.quoted is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, Control, RegisterLayout
+from .circuit import PREP_STAGE, Circuit, Control, RegisterLayout
 from .image import ImageGray
 from .tracked import BranchMap, assert_no_collision
 
@@ -24,7 +24,7 @@ def build_preparation(image: ImageGray) -> Circuit:
     layout = RegisterLayout(image.n, image.q)
     p = 2 * image.n
     circuit = Circuit(layout.width, layout)
-    with circuit.stage("prep"):
+    with circuit.stage(PREP_STAGE):
         for qb in layout.position:
             circuit.h(qb)
         for label, value in enumerate(image.pixels):
@@ -39,12 +39,10 @@ def build_preparation(image: ImageGray) -> Circuit:
     return circuit
 
 
-def decode(branch_map: BranchMap, layout: RegisterLayout | None = None) -> ImageGray:
-    """Rebuild the image from a tracked run; every position must be present."""
-    layout = layout or branch_map.layout
-    if layout is None:
-        raise ValueError("decoding needs a register layout")
-    assert_no_collision(branch_map, layout)
+def decode(branch_map: BranchMap) -> ImageGray:
+    """Rebuild the image through the map's own layout; every position must be present."""
+    assert_no_collision(branch_map)
+    layout = branch_map.layout
     pixels = np.full(4**layout.n, -1, dtype=np.int64)
     pixels[layout.position_value(branch_map.branches)] = layout.color_value(
         branch_map.branches

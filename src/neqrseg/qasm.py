@@ -15,6 +15,10 @@ import re
 
 from .circuit import Circuit, Control, GateKind, GateOp, Stage
 
+# Widest register the parser accepts.  Each qubit index becomes a bit of an
+# int mask, so an unbounded qreg lets one short line ask for gigabytes.
+MAX_QREG_WIDTH = 4096
+
 
 class QasmParseError(ValueError):
     def __init__(self, line: int, message: str):
@@ -149,9 +153,10 @@ def parse_circuit_text(text: str) -> Circuit:
                 raise QasmParseError(line_no, "only a register named 'q' is supported")
             if width is not None:
                 raise QasmParseError(line_no, "duplicate qreg declaration")
-            width = int(m.group(2))
-            if width < 1:
-                raise QasmParseError(line_no, "register must hold at least one qubit")
+            # int() refuses over 4300 digits, and a 20-digit width is far past the bound
+            width = int(m.group(2)) if len(m.group(2)) < 20 else 0
+            if not 1 <= width <= MAX_QREG_WIDTH:
+                raise QasmParseError(line_no, f"register must hold 1 to {MAX_QREG_WIDTH} qubits")
             continue
         m = _GATE_RE.match(line)
         if not m:

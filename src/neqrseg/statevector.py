@@ -41,11 +41,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass
 class QuantumState:
-    """Final amplitudes of a simulation, plus the seed that produced them."""
+    """Final amplitudes of a simulation over ``width`` qubits."""
 
     amplitudes: np.ndarray
     width: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def run(circuit: Circuit, initial: int = 0, *, seed: int) -> QuantumState:
     indices, support_amps = _execute(circuit.ops, initial, rng, check_norm=True)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[indices] = support_amps
-    return QuantumState(amps, circuit.width, seed)
+    return QuantumState(amps, circuit.width)
 
 
 def _record_key(circuit: Circuit, basis_index: int) -> str:
@@ -126,22 +125,20 @@ def _record_key(circuit: Circuit, basis_index: int) -> str:
     return format(basis_index, f"0{circuit.width}b")
 
 
-def sample_shots(
-    circuit: Circuit, shots: int, *, seed: int, initial: int = 0
-) -> list[ShotRecord]:
-    """Run ``shots`` independent end-to-end trajectories and tally outcomes.
+def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]:
+    """Run ``shots`` independent trajectories from |0...0> and tally outcomes.
 
     Each shot ends with a full measurement; outcomes are aggregated by the
     (color, position) readout when the circuit has a layout, else by the full
     bitstring, and returned sorted by bitstring.
     """
-    _check_inputs(circuit, initial)
+    _check_inputs(circuit, 0)
     if shots < 1:
         raise ValueError("shots must be at least 1")
     counter: Counter[str] = Counter()
     for shot in range(shots):
         rng = np.random.default_rng([seed, shot])
-        indices, amps = _execute(circuit.ops, initial, rng, check_norm=False)
+        indices, amps = _execute(circuit.ops, 0, rng, check_norm=False)
         order = np.argsort(indices)
         indices, amps = indices[order], amps[order]
         probs = amps.real**2 + amps.imag**2

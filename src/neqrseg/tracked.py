@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp, RegisterLayout
+from .circuit import PREP_STAGE, Circuit, GateKind, GateOp, RegisterLayout
 
 MAX_TRACKED_WIDTH = 62
 
@@ -66,13 +66,6 @@ class BranchMap:
             raise ValueError("branch map has no register layout")
         return self.layout
 
-    def position_color_map(self) -> dict[int, int]:
-        """Position -> color lookup; collisions must be ruled out first."""
-        assert_no_collision(self)
-        layout = self._require_layout()
-        positions = layout.position_value(self.branches).tolist()
-        return dict(zip(positions, layout.color_value(self.branches).tolist()))
-
     def readout_distribution(self) -> dict[str, Fraction]:
         """Exact law of the (color, position) readout, keyed like histograms."""
         layout = self._require_layout()
@@ -87,14 +80,10 @@ class BranchMap:
         }
 
 
-def assert_no_collision(
-    branch_map: BranchMap, layout: RegisterLayout | None = None
-) -> None:
-    """Raise unless every branch carries a distinct position tag.
-
-    Tags are read through ``layout``, by default the map's own.
-    """
-    layout = layout or branch_map._require_layout()
+def assert_no_collision(branch_map: BranchMap) -> None:
+    """Raise unless every branch carries a distinct position tag, read
+    through the map's own layout."""
+    layout = branch_map._require_layout()
     positions = layout.position_value(branch_map.branches)
     _, first = np.unique(positions, return_index=True)
     if len(first) == len(positions):
@@ -128,7 +117,7 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
         raise ValueError(
             f"initial basis index {initial} does not fit width {circuit.width}"
         )
-    prep = next((s for s in circuit.stages if s.name == "prep"), None)
+    prep = next((s for s in circuit.stages if s.name == PREP_STAGE), None)
     prep_start, prep_stop = (prep.start, prep.stop) if prep else (0, 0)
     branches = np.array([initial], dtype=np.int64)
     h_seen: set[int] = set()

@@ -58,7 +58,7 @@ def test_stage_bookkeeping():
     with c.stage("work"):
         c.cx(0, 2)
     assert c.stage_names() == ["prep", "work"]
-    assert [op.kind for op in c.stage_ops("prep")] == [GateKind.H, GateKind.H]
+    assert [op.kind for op in c.subcircuit(["prep"]).ops] == [GateKind.H, GateKind.H]
     span = c.stage_named("work")
     assert (span.start, span.stop) == (2, 3)
     with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ def test_standard_layout_shape():
     assert lay.threshold == (9, 8, 7)
     assert lay.cmp_aux == (10, 11)
     assert lay.results == (12, 13)
-    assert lay.measurement_qubits == (6, 5, 4, 3, 2, 1, 0)
+    assert lay.color + lay.position == (6, 5, 4, 3, 2, 1, 0)
 
 
 def test_layout_bit_fields_match_register_tuples():
@@ -173,7 +173,7 @@ def test_layout_bit_fields_match_register_tuples():
             for read, qubits in (
                 (lay.color_value, lay.color),
                 (lay.position_value, lay.position),
-                (lay.readout_value, lay.measurement_qubits),
+                (lay.readout_value, lay.color + lay.position),
             ):
                 assert [read(i) for i in ints] == [extract_bits(i, qubits) for i in ints]
                 assert np.array_equal(read(arr), extract_bits(arr, qubits))

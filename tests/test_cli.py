@@ -9,6 +9,7 @@ import pytest
 import neqrseg
 from neqrseg import (
     ImageGray,
+    RegisterLayout,
     parse_circuit_text,
     quantum_cost,
     read_image_pgm,
@@ -217,11 +218,11 @@ def test_majority_image_votes_and_disputes():
         ShotRecord("10" + "10", 1, 0.1),
         ShotRecord("00" + "11", 1, 0.1),
     ]
-    image, disputed = _majority_image(records, q=2, n=1)
+    image, disputed = _majority_image(records, RegisterLayout(1, 2))
     assert image.pixels == (0, 3, 2, 0)
     assert disputed == [0]
     with pytest.raises(ValueError, match="never observed"):
-        _majority_image(records[:2], q=2, n=1)
+        _majority_image(records[:2], RegisterLayout(1, 2))
 
 
 def test_module_invocation_smoke():

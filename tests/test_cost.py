@@ -43,12 +43,12 @@ def test_prep_stage_never_counted():
         c.h(0).h(1).cx(0, 1)
     ledger = quantum_cost(c)
     assert ledger.actual_cost == 0
-    assert "prep" not in ledger.counted
+    assert list(ledger.stages) == ["prep"]
     assert ledger.stages["prep"].single_qubit == 2  # tallied, just not charged
     # even when costed on its own
     ledger = quantum_cost(c.subcircuit(["prep"]))
     assert ledger.actual_cost == 0
-    assert ledger.counted == ()
+    assert list(ledger.stages) == ["prep"]
 
 
 def test_unstaged_ops_get_their_own_bucket():
@@ -142,7 +142,7 @@ def test_a_stage_named_like_the_old_gap_bucket_keeps_its_own_ledger():
     )
     for c in (built, parsed):
         ledger = quantum_cost(c)
-        assert ledger.counted == ("(unstaged)", UNSTAGED)
+        assert list(ledger.stages) == ["(unstaged)", UNSTAGED]
         assert ledger.stages["(unstaged)"].actual_cost == TOFFOLI_WEIGHT
         assert ledger.stages[UNSTAGED].actual_cost == 1
         assert ledger.actual_cost == 6

@@ -23,6 +23,7 @@ from neqrseg import (
     quantum_cost,
     run_tracked,
 )
+from neqrseg.qasm import MAX_QREG_WIDTH
 
 
 def test_export_header_and_simple_gates():
@@ -199,6 +200,11 @@ def test_mcx_without_room_is_rejected():
     [
         ("OPENQASM 2.0;\nqreg r[2];\n", 2, "named 'q'"),
         ("OPENQASM 2.0;\nqreg q[2];\nqreg q[2];\n", 3, "duplicate"),
+        ("OPENQASM 2.0;\nqreg q[0];\n", 2, "must hold 1 to"),
+        (f"OPENQASM 2.0;\nqreg q[{MAX_QREG_WIDTH + 1}];\n", 2, "must hold 1 to"),
+        pytest.param(
+            f"OPENQASM 2.0;\nqreg q[{'9' * 5000}];\n", 2, "must hold 1 to", id="qreg-5000-digits"
+        ),
         ("OPENQASM 2.0;\nh q[0];\n", 2, "before qreg"),
         ("OPENQASM 2.0;\nqreg q[2];\nrz q[0];\n", 3, "unknown mnemonic"),
         ("OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n", 3, "takes 2"),
@@ -224,6 +230,13 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_circuit_text(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def test_parser_accepts_the_widest_register():
+    top = MAX_QREG_WIDTH - 1
+    c = parse_circuit_text(f"OPENQASM 2.0;\nqreg q[00{MAX_QREG_WIDTH}];\ncx q[{top}],q[0];\n")
+    assert c.width == MAX_QREG_WIDTH
+    assert c.ops == [GateOp(GateKind.X, 0, (Control(top),))]
 
 
 def test_parser_tolerates_blank_lines_and_include():

@@ -63,8 +63,7 @@ def test_prep_only_run_reproduces_the_image(sample_4x4):
     result = run_tracked(prep)
     assert len(result.branches) == 16
     assert set(result.readout_distribution().values()) == {Fraction(1, 16)}
-    mapping = result.position_color_map()
-    assert mapping == {p: sample_4x4.pixels[p] for p in range(16)}
+    assert decode(result) == sample_4x4
 
 
 def test_h_outside_prep_is_refused():
@@ -157,8 +156,6 @@ def test_collision_detection():
     with pytest.raises(CollisionError, match="position tag 01"):
         assert_no_collision(colliding)
     with pytest.raises(CollisionError):
-        colliding.position_color_map()
-    with pytest.raises(CollisionError):
         decode(colliding)
 
 
@@ -201,17 +198,21 @@ def test_array_queries_match_per_branch_loops():
             seen[p] = b
         else:
             lookup = {p: layout.color_value(b) for p, b in seen.items()}
-            assert branch_map.position_color_map() == lookup
             if len(lookup) == count:
                 assert decode(branch_map).pixels == tuple(
                     lookup[p] for p in range(count)
                 )
+            else:
+                gap = min(set(range(count)) - set(lookup))
+                missing = f"position {gap:0{2 * layout.n}b} missing"
+                with pytest.raises(ValueError, match=missing):
+                    decode(branch_map)
 
 
 def test_layout_required_for_position_queries():
     bare = BranchMap(2, np.array([0]))
     with pytest.raises(ValueError, match="layout"):
-        bare.position_color_map()
+        assert_no_collision(bare)
 
 
 def test_readout_distribution_sums_to_one(sample_4x4, sample_config):
@@ -236,6 +237,4 @@ def test_tracked_matches_statevector_sampling():
     for key, weight in exact.items():
         assert abs(sampled.get(key, 0.0) - float(weight)) < 4 * sigma
 
-    mapping = run_tracked(pipe).position_color_map()
-    oracle = classical_segment(image, config)
-    assert tuple(mapping[p] for p in range(4)) == oracle.pixels
+    assert decode(run_tracked(pipe)) == classical_segment(image, config)
