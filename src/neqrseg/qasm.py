@@ -112,9 +112,10 @@ def export_circuit_text(circuit: Circuit) -> str:
 _HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
 _QREG_RE = re.compile(r"^qreg\s+(\w+)\s*\[\s*(\d+)\s*\]\s*;$")
 _GATE_RE = re.compile(r"^(\w+)\s+(.*?)\s*;$")
-_QUBIT_RE = re.compile(r"^q\s*\[\s*(\d+)\s*\]$")
+# int() refuses over 4300 digits, so qubit indices and quotes take at most 18
+_QUBIT_RE = re.compile(r"^q\s*\[\s*(\d{1,18})\s*\]$")
 _MARKER_RE = re.compile(r"//\s*stage:")
-_STAGE_RE = re.compile(r"//\s*stage:(?:(\S+)(?: ([^\s=]+)=(-?\d+))?)?")
+_STAGE_RE = re.compile(r"//\s*stage:(?:(\S+)(?: ([^\s=]+)=(-?\d{1,18}))?)?")
 
 # mnemonic -> (kind, qubit count); the last qubit is the target
 _GATES = {"h": (GateKind.H, 1), "x": (GateKind.X, 1), "reset": (GateKind.RESET, 1),

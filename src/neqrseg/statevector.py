@@ -2,38 +2,36 @@
 
 Everything here except H permutes computational basis states, so the one
 genuinely quantum move is the reset: a projective measurement of the target
-qubit (outcome drawn from its marginal probability) followed by a flip back
-to |0> when the outcome was 1.  A reset therefore collapses whatever the
-target was entangled with; per-shot faithfulness comes from re-running the
-whole circuit for every shot.
+qubit followed by a flip back to |0> on outcome 1, which collapses whatever
+the target was entangled with.  The state is stored as its support only:
+distinct int64 basis indices (qubit j is bit j) and complex amplitudes.  A
+permutation gate is the tracked backend's masked XOR
+(:func:`neqrseg.tracked.apply_permutation`), H splits each entry and merges
+partners, and a reset measures over the support.
 
-The state is stored as its support only: distinct int64 basis indices
-(little endian, qubit j is bit j) and their complex amplitudes.  The
-circuit's ops are read as they stand: a permutation gate is the tracked
-backend's masked XOR (:func:`neqrseg.tracked.apply_permutation`) on the
-indices, H splits each entry and merges partners, and a reset measures over
-the support.  :func:`run` scatters the support into a dense vector at the
-end, which is why widths are capped at 26 qubits; :func:`sample_shots` keeps
-the same cap.  Every stochastic entry point takes an explicit seed and draws
-from ``numpy.random.default_rng`` (PCG64): one draw per reset, then one final
-draw over the cumulative probabilities in basis-index order.  Identical seeds
-give identical shot sequences, and each shot of ``sample_shots`` derives its
-own generator from (seed, shot index) so shots are independent and
-order-insensitive.
+:func:`run` follows one trajectory, one draw per reset, and scatters the
+support into a dense vector, so it is capped at 26 qubits.
+:func:`sample_shots` walks the reset tree once for all shots, as Qiskit
+Aer's shot branching does, and goes to 62 qubits: a node's k shots split at
+its reset as k1 ~ Binomial(k, p1), each child holding shots carries on
+collapsed and renormalised, and each leaf takes one multinomial draw over
+its support in basis-index order.  Each node draws from its own PCG64
+stream derived from (seed, path of outcomes), so a seed fixes the histogram
+byte for byte.  The law is that of independent trajectories, but a seed's
+counts differ from releases that re-ran the circuit per (seed, shot).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp, extract_bits
-from .tracked import apply_permutation
+from .tracked import MAX_TRACKED_WIDTH, apply_permutation
 
-MAX_WIDTH = 26
+MAX_WIDTH = 26  # run() only; sample_shots goes to MAX_TRACKED_WIDTH
 NORM_TOL = 1e-10
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -54,10 +52,10 @@ class ShotRecord:
     probability: float
 
 
-def _check_inputs(circuit: Circuit, initial: int) -> None:
-    if circuit.width > MAX_WIDTH:
+def _check_inputs(circuit: Circuit, initial: int, limit: int) -> None:
+    if circuit.width > limit:
         raise ValueError(
-            f"width {circuit.width} exceeds the {MAX_WIDTH}-qubit statevector guard"
+            f"width {circuit.width} exceeds the {limit}-qubit statevector guard"
         )
     if not 0 <= initial < (1 << circuit.width):
         raise ValueError(
@@ -65,21 +63,26 @@ def _check_inputs(circuit: Circuit, initial: int) -> None:
         )
 
 
-def _execute(
-    ops: Iterable[GateOp],
-    initial: int,
-    rng: np.random.Generator,
-    check_norm: bool,
+def _reset_spans(ops: list[GateOp]) -> list[tuple[list[GateOp], GateOp | None]]:
+    """(reset-free ops, the reset after them) pairs; the last has no reset."""
+    spans, start = [], 0
+    for i, op in enumerate(ops):
+        if op.kind is GateKind.RESET:
+            spans.append((ops[start:i], op))
+            start = i + 1
+    return spans + [(ops[start:], None)]
+
+
+def _evolve(
+    ops: list[GateOp], indices: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One trajectory over the support: distinct basis indices, amplitudes."""
-    indices = np.array([initial], dtype=np.int64)
-    amps = np.ones(1, dtype=np.complex128)
+    """Apply reset-free ops to the support: distinct basis indices, amplitudes."""
     for op in ops:
-        kind, target = op.kind, op.target
-        bit = 1 << target
-        if kind is GateKind.H:
+        target = op.target
+        if op.kind is GateKind.H:
             # Pair each index with its partner across the target bit; a
             # missing partner has amplitude 0.  Exact zeros leave the support.
+            bit = 1 << target
             base, slot = np.unique(indices & ~bit, return_inverse=True)
             pair = np.zeros((len(base), 2), dtype=np.complex128)
             pair[slot, indices >> target & 1] = amps
@@ -88,32 +91,42 @@ def _execute(
             amps = np.concatenate(((a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2))
             nonzero = amps != 0
             indices, amps = indices[nonzero], amps[nonzero]
-        elif kind is GateKind.RESET:
-            # Measure the target, then flip the 1 outcome back to 0.
-            ones = (indices & bit) != 0
-            p1 = float(np.vdot(amps[ones], amps[ones]).real)
-            outcome = 1 if rng.random() < p1 else 0
-            p_keep = p1 if outcome else 1.0 - p1
-            if p_keep < 1e-12:
-                raise RuntimeError(
-                    "reset collapsed onto a zero-norm branch; "
-                    "amplitude bookkeeping bug"
-                )
-            keep = ones if outcome else ~ones
-            indices = indices[keep] & ~bit
-            amps = amps[keep] * (1.0 / math.sqrt(p_keep))
         else:
             indices = apply_permutation(indices, op)
-        if check_norm and abs(float(np.vdot(amps, amps).real) - 1.0) > NORM_TOL:
-            raise RuntimeError("state norm drifted beyond tolerance")
     return indices, amps
+
+
+def _measure(indices: np.ndarray, amps: np.ndarray, target: int):
+    """Probability of outcome 1 at a reset of ``target``, and the collapse
+    onto either outcome, renormalised and with the target back at 0."""
+    ones = (indices & (1 << target)) != 0
+    p1 = float((amps[ones].real**2 + amps[ones].imag**2).sum())
+
+    def collapse(outcome: int) -> tuple[np.ndarray, np.ndarray]:
+        p_keep = p1 if outcome else 1.0 - p1
+        if p_keep < 1e-12:
+            raise RuntimeError(
+                "reset collapsed onto a zero-norm branch; amplitude bookkeeping bug"
+            )
+        keep = ones if outcome else ~ones
+        return indices[keep] & ~(1 << target), amps[keep] * (1.0 / math.sqrt(p_keep))
+
+    return p1, collapse
 
 
 def run(circuit: Circuit, initial: int = 0, *, seed: int) -> QuantumState:
     """Simulate one trajectory from the basis state ``initial``."""
-    _check_inputs(circuit, initial)
+    _check_inputs(circuit, initial, MAX_WIDTH)
     rng = np.random.default_rng(seed)
-    indices, support_amps = _execute(circuit.ops, initial, rng, check_norm=True)
+    indices = np.array([initial], dtype=np.int64)
+    support_amps = np.ones(1, dtype=np.complex128)
+    for ops, reset in _reset_spans(circuit.ops):
+        indices, support_amps = _evolve(ops, indices, support_amps)
+        if abs(float(np.vdot(support_amps, support_amps).real) - 1.0) > NORM_TOL:
+            raise RuntimeError("state norm drifted beyond tolerance")
+        if reset is not None:
+            p1, collapse = _measure(indices, support_amps, reset.target)
+            indices, support_amps = collapse(1 if rng.random() < p1 else 0)
     amps = np.zeros(1 << circuit.width, dtype=np.complex128)
     amps[indices] = support_amps
     return QuantumState(amps, circuit.width)
@@ -125,30 +138,49 @@ def _record_key(circuit: Circuit, basis_index: int) -> str:
     return format(basis_index, f"0{circuit.width}b")
 
 
-def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]:
-    """Run ``shots`` independent trajectories from |0...0> and tally outcomes.
+def _node_rng(seed: int, path: tuple[int, ...]) -> np.random.Generator:
+    # spawn_key numbers the node as SeedSequence.spawn would; [seed, *path]
+    # is zero-padded, so the root and its all-zero descendants would collide.
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
-    Each shot ends with a full measurement; outcomes are aggregated by the
-    (color, position) readout when the circuit has a layout, else by the full
-    bitstring, and returned sorted by bitstring.
+
+def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]:
+    """Sample ``shots`` runs from |0...0> in one walk of the reset tree.
+
+    Outcomes are aggregated by the (color, position) readout when the
+    circuit has a layout, else by the full bitstring, and returned sorted by
+    bitstring.
     """
-    _check_inputs(circuit, 0)
+    _check_inputs(circuit, 0, MAX_TRACKED_WIDTH)
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    spans = _reset_spans(circuit.ops)
     counter: Counter[str] = Counter()
-    for shot in range(shots):
-        rng = np.random.default_rng([seed, shot])
-        indices, amps = _execute(circuit.ops, 0, rng, check_norm=False)
+    # (reset outcomes so far, shots held, support indices, amplitudes)
+    stack = [((), shots, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))]
+    while stack:
+        path, held, indices, amps = stack.pop()
+        ops, reset = spans[len(path)]
+        indices, amps = _evolve(ops, indices, amps)
+        # Sum in basis-index order, so the draws depend on the state alone.
         order = np.argsort(indices)
         indices, amps = indices[order], amps[order]
+        if reset is not None:
+            p1, collapse = _measure(indices, amps, reset.target)
+            # A certain outcome takes no draw (and binomial refuses 1 + 1e-16).
+            ones = held if p1 >= 1.0 else 0
+            if 0.0 < p1 < 1.0:
+                ones = int(_node_rng(seed, path).binomial(held, p1))
+            for outcome, count in ((0, held - ones), (1, ones)):
+                if count:
+                    stack.append((path + (outcome,), count, *collapse(outcome)))
+            continue
         probs = amps.real**2 + amps.imag**2
-        total = probs.sum()
-        if abs(total - 1.0) > NORM_TOL:
+        if abs(probs.sum() - 1.0) > NORM_TOL:
             raise RuntimeError("state norm drifted beyond tolerance")
-        edges = np.cumsum(probs)
-        k = int(np.searchsorted(edges, rng.random() * total, side="right"))
-        idx = int(indices[min(k, len(probs) - 1)])
-        counter[_record_key(circuit, idx)] += 1
+        counts = _node_rng(seed, path).multinomial(held, probs / probs.sum())
+        for idx, count in zip(indices[counts > 0].tolist(), counts[counts > 0].tolist()):
+            counter[_record_key(circuit, idx)] += count
     return [
         ShotRecord(bits, count, count / shots)
         for bits, count in sorted(counter.items())

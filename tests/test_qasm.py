@@ -209,6 +209,9 @@ def test_mcx_without_room_is_rejected():
         ("OPENQASM 2.0;\nqreg q[2];\nrz q[0];\n", 3, "unknown mnemonic"),
         ("OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n", 3, "takes 2"),
         ("OPENQASM 2.0;\nqreg q[2];\nx q[5];\n", 3, "outside"),
+        pytest.param(
+            f"OPENQASM 2.0;\nqreg q[2];\nx q[{'9' * 5000}];\n", 3, "malformed", id="qubit-5000-digits"
+        ),
         ("OPENQASM 2.0;\nqreg q[2];\nx q[0]\n", 3, "malformed"),
         ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[0];\n", 3, "also be a control"),
         ("OPENQASM 2.0;\n", 1, "missing qreg"),
@@ -223,6 +226,10 @@ def test_mcx_without_room_is_rejected():
         ("OPENQASM 2.0;\nqreg q[1];\n// stage: two words\n", 3, "malformed stage marker"),
         ("OPENQASM 2.0;\nqreg q[1];\n// stage: f=3\n", 3, "malformed stage marker"),
         ("OPENQASM 2.0;\nqreg q[1];\n// stage:a f=3 g=4\n", 3, "malformed stage marker"),
+        pytest.param(
+            f"OPENQASM 2.0;\nqreg q[1];\n// stage:a f={'9' * 5000}\n", 3, "malformed stage marker",
+            id="quote-5000-digits",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

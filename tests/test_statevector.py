@@ -18,6 +18,7 @@ from neqrseg import (
     probabilities,
     records_to_csv,
     run,
+    run_tracked,
     sample_shots,
 )
 
@@ -174,51 +175,135 @@ def test_records_to_csv_layout():
 # -- dense reference ------------------------------------------------------
 #
 # The simulator keeps only the support of the state.  This reference keeps the
-# full 2^width vector, pairs every index whose target bit is 0 (and whose
-# controls fire) with its partner, and draws from the generator in the same
-# order: one draw per reset, then one over the cumulative probabilities.
+# full 2^width vector and pairs every index whose target bit is 0 (and whose
+# controls fire) with its partner.  ``dense_trajectory`` draws like ``run``:
+# one draw per reset.  ``dense_sample`` walks the reset tree like
+# ``sample_shots``: each node's generator comes from (seed, path), its shots
+# split binomially at the reset, and each leaf takes one multinomial draw.
+# Probabilities are summed over the nonzero entries in basis-index order, as
+# the sampler sums over its sorted support.  ``dense_law`` walks the same
+# tree without sampling.
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def dense_trajectory(circuit, rng, initial=0):
-    everything = np.arange(1 << circuit.width)
-    amps = np.zeros(1 << circuit.width, dtype=complex)
-    amps[initial] = 1.0
-    for op in circuit.ops:
-        bit = 1 << op.target
-        fires = everything & bit == 0
-        for c in op.controls:
-            fires &= (everything >> c.qubit & 1) == c.positive
-        lo = everything[fires]
-        hi = lo | bit
+def _dense_spans(circuit):
+    """(ops before a reset, the reset) pairs; the last span has no reset."""
+    spans, start = [], 0
+    for i, op in enumerate(circuit.ops):
+        if op.kind is GateKind.RESET:
+            spans.append((circuit.ops[start:i], op))
+            start = i + 1
+    return spans + [(circuit.ops[start:], None)]
+
+
+def _dense_pairs(op, size):
+    everything = np.arange(size)
+    bit = 1 << op.target
+    fires = everything & bit == 0
+    for c in op.controls:
+        fires &= (everything >> c.qubit & 1) == c.positive
+    lo = everything[fires]
+    return lo, lo | bit
+
+
+def _dense_evolve(ops, amps):
+    amps = amps.copy()
+    for op in ops:
+        lo, hi = _dense_pairs(op, len(amps))
         a0, a1 = amps[lo], amps[hi]
         if op.kind is GateKind.H:
             amps[lo], amps[hi] = (a0 + a1) * _INV_SQRT2, (a0 - a1) * _INV_SQRT2
-        elif op.kind is GateKind.RESET:
-            p1 = float(np.vdot(a1, a1).real)
-            outcome = rng.random() < p1
-            scale = 1.0 / math.sqrt(p1 if outcome else 1.0 - p1)
-            amps[lo], amps[hi] = (a1 if outcome else a0) * scale, 0.0
         else:
             amps[lo], amps[hi] = a1, a0
     return amps
 
 
+def _support_probs(amps):
+    """|amplitude|^2 over the nonzero entries, in basis-index order."""
+    support = amps[amps != 0]
+    return support.real**2 + support.imag**2
+
+
+def _dense_p1(amps, reset):
+    _, hi = _dense_pairs(reset, len(amps))
+    return float(_support_probs(amps[hi]).sum())
+
+
+def _dense_collapse(amps, reset, outcome, p1):
+    lo, hi = _dense_pairs(reset, len(amps))
+    out = np.zeros_like(amps)
+    out[lo] = amps[hi if outcome else lo] / math.sqrt(p1 if outcome else 1.0 - p1)
+    return out
+
+
+def _dense_start(circuit, initial=0):
+    amps = np.zeros(1 << circuit.width, dtype=complex)
+    amps[initial] = 1.0
+    return amps
+
+
+def _key(circuit, idx):
+    if circuit.layout is not None:
+        return circuit.layout.readout_bitstring(idx)
+    return format(idx, f"0{circuit.width}b")
+
+
+def dense_trajectory(circuit, rng, initial=0):
+    amps = _dense_start(circuit, initial)
+    for ops, reset in _dense_spans(circuit):
+        amps = _dense_evolve(ops, amps)
+        if reset is not None:
+            p1 = _dense_p1(amps, reset)
+            amps = _dense_collapse(amps, reset, rng.random() < p1, p1)
+    return amps
+
+
 def dense_sample(circuit, shots, seed):
+    spans = _dense_spans(circuit)
     counter = Counter()
-    for shot in range(shots):
-        rng = np.random.default_rng([seed, shot])
-        amps = dense_trajectory(circuit, rng)
-        probs = amps.real**2 + amps.imag**2
-        edges = np.cumsum(probs)
-        idx = int(np.searchsorted(edges, rng.random() * probs.sum(), side="right"))
-        idx = min(idx, len(probs) - 1)
-        if circuit.layout is not None:
-            counter[circuit.layout.readout_bitstring(idx)] += 1
-        else:
-            counter[format(idx, f"0{circuit.width}b")] += 1
+    stack = [((), shots, _dense_start(circuit))]
+    while stack:
+        path, held, amps = stack.pop()
+        ops, reset = spans[len(path)]
+        amps = _dense_evolve(ops, amps)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+        if reset is None:
+            probs = _support_probs(amps)
+            counts = rng.multinomial(held, probs / probs.sum())
+            for idx, count in zip(np.flatnonzero(amps), counts):
+                if count:
+                    counter[_key(circuit, int(idx))] += int(count)
+            continue
+        p1 = _dense_p1(amps, reset)
+        ones = int(rng.binomial(held, min(max(p1, 0.0), 1.0)))
+        for outcome, count in ((0, held - ones), (1, ones)):
+            if count:
+                child = _dense_collapse(amps, reset, outcome, p1)
+                stack.append((path + (outcome,), count, child))
     return [ShotRecord(b, n, n / shots) for b, n in sorted(counter.items())]
+
+
+def dense_law(circuit):
+    """Exact readout law: every reset outcome of nonzero probability, weighted."""
+    spans = _dense_spans(circuit)
+    law = Counter()
+    stack = [(0, 1.0, _dense_start(circuit))]
+    while stack:
+        depth, weight, amps = stack.pop()
+        ops, reset = spans[depth]
+        amps = _dense_evolve(ops, amps)
+        if reset is None:
+            probs = amps.real**2 + amps.imag**2
+            for idx in np.flatnonzero(probs):
+                law[_key(circuit, int(idx))] += weight * probs[idx]
+            continue
+        p1 = _dense_p1(amps, reset)
+        for outcome, p in ((0, 1.0 - p1), (1, p1)):
+            if p > 1e-12:
+                child = _dense_collapse(amps, reset, outcome, p1)
+                stack.append((depth + 1, weight * p, child))
+    return law
 
 
 def _random_mixed_circuit(rng, width, length):
@@ -262,3 +347,27 @@ def test_matches_dense_reference_on_pipelines():
         expected = dense_trajectory(pipe, np.random.default_rng(0))
         assert np.array_equal(amplitudes(pipe, seed=0), expected)
         assert sample_shots(pipe, shots, seed=0) == dense_sample(pipe, shots, 0)
+
+
+def test_tree_law_matches_tracked_readout_on_random_pipelines():
+    rng = random.Random(1307)
+    for _ in range(12):
+        q, n = rng.randint(1, 3), rng.randint(0, 1)
+        top = (1 << q) - 1
+        thresholds = sorted(rng.sample(range(1, top + 1), rng.randint(1, min(2, top))))
+        levels = [rng.randint(0, top)] + [rng.randint(t, top) for t in thresholds]
+        config = ThresholdConfig(q, tuple(thresholds), tuple(levels))
+        image = ImageGray(n, q, tuple(rng.randint(0, top) for _ in range(4**n)))
+        pipe = build_pipeline(image, config)
+        exact = run_tracked(pipe).readout_distribution()
+        law = dense_law(pipe)
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        for key in set(exact) | set(law):
+            assert abs(law.get(key, 0.0) - float(exact.get(key, 0))) < 1e-12, key
+
+
+def test_sampling_is_not_capped_at_the_dense_width():
+    records = sample_shots(Circuit(40).x(39), 8, seed=0)
+    assert records == [ShotRecord("1" + "0" * 39, 8, 1.0)]
+    with pytest.raises(ValueError, match="62-qubit"):
+        sample_shots(Circuit(63), 8, seed=0)
