@@ -24,7 +24,6 @@ from .neqr import build_preparation, decode
 from .qasm import QasmParseError, export_circuit_text, lower, parse_circuit_text
 from .segmentation import (
     ComparisonRow,
-    PipelineCostFormulas,
     ThresholdConfig,
     build_pipeline,
     build_s1,
@@ -33,13 +32,11 @@ from .segmentation import (
     classical_segment,
     comparison_table,
     default_thresholds,
-    pipeline_cost_formulas,
     reference_pipeline,
 )
 from .statevector import (
     QuantumState,
     ShotRecord,
-    probabilities,
     records_to_csv,
     run,
     sample_shots,
@@ -66,7 +63,6 @@ __all__ = [
     "GateKind",
     "GateOp",
     "ImageGray",
-    "PipelineCostFormulas",
     "QasmParseError",
     "QuantumState",
     "RegisterLayout",
@@ -92,9 +88,7 @@ __all__ = [
     "lower",
     "neg",
     "parse_circuit_text",
-    "pipeline_cost_formulas",
     "pos",
-    "probabilities",
     "quantum_cost",
     "read_image_pgm",
     "records_to_csv",

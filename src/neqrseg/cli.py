@@ -6,9 +6,10 @@ import json
 import sys
 from pathlib import Path
 
+from .circuit import RegisterLayout
 from .cost import quantum_cost
 from .image import ImageGray, read_image_pgm, write_image_pgm
-from .qasm import export_circuit_text
+from .qasm import MAX_QREG_WIDTH, export_circuit_text
 from .segmentation import (
     ThresholdConfig,
     build_pipeline,
@@ -17,7 +18,7 @@ from .segmentation import (
     reference_pipeline,
 )
 from .statevector import ShotRecord, records_to_csv, sample_shots
-from .tracked import assert_no_collision, run_tracked
+from .tracked import assert_no_collision, check_tracked_width, run_tracked
 from .neqr import decode
 
 COST_SCHEMA = 2
@@ -112,6 +113,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise ValueError("--histogram needs --backend statevector")
     data = Path(args.input).read_bytes()
     image = read_image_pgm(data)
+    # Both backends stop at int64 basis indices; refuse before building.
+    check_tracked_width(RegisterLayout(image.n, image.q).width)
     thresholds = _thresholds_from_args(args)
     if args.levels is not None:
         config = ThresholdConfig(
@@ -156,6 +159,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def cmd_cost(args: argparse.Namespace) -> int:
     if args.q < 1:
         raise ValueError("--q must be at least 1")
+    # Every op is costed as exported, so the reference pipeline (n = 1) must
+    # fit a qreg.  A huge --q is refused before its layout is built.
+    if args.q > MAX_QREG_WIDTH or RegisterLayout(1, args.q).width > MAX_QREG_WIDTH:
+        raise ValueError(f"--q {args.q} needs more than the {MAX_QREG_WIDTH} qubits costing allows")
     count = args.thresholds
     if count is None:
         count = 2 if (1 << args.q) - 1 >= 2 else 1

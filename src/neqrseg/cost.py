@@ -74,19 +74,25 @@ class GateCounts:
 
 @dataclass
 class CostLedger:
-    """Per-stage counts plus the measured and formula-based totals.
+    """Per-stage counts and quotes; both totals are read off them.
 
     ``actual_cost`` is the weighted count over every ``stages`` entry but
-    ``PREP_STAGE``; ``formula_cost`` sums the closed-form values quoted by
-    those stages (``Stage.quoted``, set by the builders); ``cost_by_formula``
-    breaks that sum down by formula name.  The preparation stage is tallied
-    but never contributes to either total.
+    ``PREP_STAGE``; ``formula_cost`` sums ``cost_by_formula``, the
+    closed-form values quoted by those stages (``Stage.quoted``, set by the
+    builders) keyed by formula name.  The preparation stage is tallied but
+    never contributes to either total.
     """
 
     stages: dict[str, GateCounts] = field(default_factory=dict)
-    actual_cost: int = 0
-    formula_cost: int = 0
     cost_by_formula: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def actual_cost(self) -> int:
+        return sum(c.actual_cost for name, c in self.stages.items() if name != PREP_STAGE)
+
+    @property
+    def formula_cost(self) -> int:
+        return sum(self.cost_by_formula.values())
 
 
 def quantum_cost(circuit: Circuit) -> CostLedger:
@@ -98,20 +104,13 @@ def quantum_cost(circuit: Circuit) -> CostLedger:
     exported (an MCX with no spare wire) raises ``ValueError``, as exporting
     it does.
     """
-    per_stage: dict[str, GateCounts] = {}
+    ledger = CostLedger()
     for s, start, stop in circuit.spans():
-        counts = per_stage.setdefault(UNSTAGED if s is None else s.name, GateCounts())
+        counts = ledger.stages.setdefault(UNSTAGED if s is None else s.name, GateCounts())
         counts.count(circuit.ops[start:stop], circuit.width)
-    if UNSTAGED in per_stage:  # the gap bucket is listed last
-        per_stage[UNSTAGED] = per_stage.pop(UNSTAGED)
-
-    ledger = CostLedger(
-        stages=per_stage,
-        actual_cost=sum(c.actual_cost for name, c in per_stage.items() if name != PREP_STAGE),
-    )
-    for s in circuit.stages:
-        if s.name != PREP_STAGE and s.quoted is not None:
+        if s is not None and s.name != PREP_STAGE and s.quoted is not None:
             formula, value = s.quoted
-            ledger.formula_cost += value
             ledger.cost_by_formula[formula] = ledger.cost_by_formula.get(formula, 0) + value
+    if UNSTAGED in ledger.stages:  # the gap bucket is listed last
+        ledger.stages[UNSTAGED] = ledger.stages.pop(UNSTAGED)
     return ledger

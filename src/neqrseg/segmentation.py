@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, RegisterLayout, neg, pos
-from .comparator import ComparatorSpec, build_comparator, comparator_formula_cost
+from .comparator import ComparatorSpec, build_comparator
 from .cost import quantum_cost
 from .image import ImageGray
 from .neqr import build_preparation
@@ -232,37 +232,6 @@ def build_pipeline(image: ImageGray, config: ThresholdConfig) -> Circuit:
                     circuit.reset(tq)
         previous_slot = slot
     return circuit
-
-
-@dataclass(frozen=True)
-class PipelineCostFormulas:
-    """Quoted closed-form costs for the two-threshold pipeline at a given q.
-
-    Each part sums stage quotes (``Stage.quoted``) of ``reference_pipeline(q)``,
-    so q = 1 raises; ``component_sum`` sums them all, 60q - 16.  ``total`` is
-    the published headline 60q - 6 of ``comparison_table``.  The two disagree
-    by construction; both are reported rather than reconciled.
-    """
-
-    q: int
-    comparator: int
-    segmentation: int
-    threshold_init: int
-    total: int
-    component_sum: int
-
-
-def pipeline_cost_formulas(q: int) -> PipelineCostFormulas:
-    ledger = quantum_cost(reference_pipeline(q))
-    quoted = ledger.cost_by_formula
-    return PipelineCostFormulas(
-        q=q,
-        comparator=comparator_formula_cost(q),
-        segmentation=quoted["s1-paper"] + quoted["s2-paper"] + quoted["s3-paper"],
-        threshold_init=quoted["threshold-init-paper"] + quoted["threshold-reset-paper"],
-        total=comparison_table(q)[-1].quantum_cost,
-        component_sum=ledger.formula_cost,
-    )
 
 
 @dataclass(frozen=True)

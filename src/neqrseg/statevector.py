@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp, extract_bits
+from .circuit import Circuit, GateKind, GateOp
 from .tracked import MAX_TRACKED_WIDTH, apply_permutation
 
 MAX_WIDTH = 26  # run() only; sample_shots goes to MAX_TRACKED_WIDTH
@@ -185,23 +185,6 @@ def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]
         ShotRecord(bits, count, count / shots)
         for bits, count in sorted(counter.items())
     ]
-
-
-def probabilities(state: QuantumState, qubits: list[int]) -> dict[str, float]:
-    """Marginal distribution over ``qubits`` (first index = most significant)."""
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("qubit subset must be distinct")
-    if any(not 0 <= qb < state.width for qb in qubits):
-        raise ValueError("qubit subset outside state width")
-    probs = state.amplitudes.real**2 + state.amplitudes.imag**2
-    support = np.flatnonzero(probs)
-    keys = extract_bits(support, qubits)
-    marginal = np.bincount(keys, probs[support], minlength=1 << len(qubits))
-    if abs(marginal.sum() - 1.0) > NORM_TOL:
-        raise RuntimeError("marginal does not sum to 1")
-    digits = len(qubits)
-    return {format(i, f"0{digits}b"): float(p) for i, p in enumerate(marginal)}
 
 
 def records_to_csv(records: list[ShotRecord]) -> str:

@@ -100,6 +100,15 @@ def assert_no_collision(branch_map: BranchMap) -> None:
     )
 
 
+def check_tracked_width(width: int) -> None:
+    """Refuse a width whose basis indices do not fit an int64."""
+    if width > MAX_TRACKED_WIDTH:
+        raise ValueError(
+            f"width {width} exceeds the {MAX_TRACKED_WIDTH}-qubit limit "
+            "of int64 basis indices"
+        )
+
+
 def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
     """Track a circuit exactly, all branches at once.
 
@@ -108,11 +117,7 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
     only on position qubits).  Anything else would make basis tracking
     unsound; such circuits belong on the statevector backend.
     """
-    if circuit.width > MAX_TRACKED_WIDTH:
-        raise ValueError(
-            f"width {circuit.width} exceeds the {MAX_TRACKED_WIDTH}-qubit limit "
-            "of int64 basis indices"
-        )
+    check_tracked_width(circuit.width)
     if not 0 <= initial < (1 << circuit.width):
         raise ValueError(
             f"initial basis index {initial} does not fit width {circuit.width}"

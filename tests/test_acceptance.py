@@ -28,7 +28,8 @@ from neqrseg import (
     default_thresholds,
     extract_bits,
     insert_bits,
-    pipeline_cost_formulas,
+    quantum_cost,
+    reference_pipeline,
     run,
     run_tracked,
     sample_shots,
@@ -181,9 +182,8 @@ def test_criterion_6_cost_constants():
         assert comparator_formula_cost(1) == 5
         assert comparator_formula_cost(3) == 41
         assert comparator_formula_cost(8) == 131
-        formulas = pipeline_cost_formulas(3)
-        assert formulas.total == 174
-        assert formulas.component_sum == 164
+        assert comparison_table(3)[-1].quantum_cost == 174
+        assert quantum_cost(reference_pipeline(3)).formula_cost == 164
         table = {row.algorithm: row.quantum_cost for row in comparison_table(3)}
         assert table == {"IS": 290, "NMQCIS": 138, "DQIS": 196, "ours": 174}
 

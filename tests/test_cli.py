@@ -256,3 +256,35 @@ def test_failed_output_leaves_no_file(tmp_path, sample_pgm, capsys, monkeypatch)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() and not report.exists() and not qasm.exists()
+
+
+def _refuse_build(*args):
+    raise ValueError("reached the build")
+
+
+@pytest.mark.parametrize("q,refused", [(2045, False), (2046, True), (10**12, True)])
+def test_cost_refuses_q_too_wide_to_export_before_building(capsys, monkeypatch, q, refused):
+    monkeypatch.setattr("neqrseg.cli.reference_pipeline", _refuse_build)
+    monkeypatch.setattr("neqrseg.cli.build_pipeline", _refuse_build)
+    assert run_cli("cost", "--q", q) == 1
+    err = capsys.readouterr().err
+    assert ("4096 qubits" in err) is refused
+    assert ("reached the build" in err) is not refused
+
+
+@pytest.mark.parametrize("backend", ["tracked", "statevector"])
+@pytest.mark.parametrize("q,refused", [(29, False), (30, True)])
+def test_segment_refuses_an_image_too_wide_before_building(
+    tmp_path, capsys, monkeypatch, backend, q, refused
+):
+    monkeypatch.setattr("neqrseg.cli.reference_pipeline", _refuse_build)
+    monkeypatch.setattr("neqrseg.cli.build_pipeline", _refuse_build)
+    path = tmp_path / "in.pgm"
+    path.write_text(f"P2\n1 1\n{(1 << q) - 1}\n0\n")  # width 2q + 4
+    out = tmp_path / "out.pgm"
+    code = run_cli("segment", "--input", path, "--t", "1", "--backend", backend, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("width 64 exceeds the 62-qubit limit" in err) is refused
+    assert ("reached the build" in err) is not refused
+    assert not out.exists()

@@ -1,9 +1,10 @@
 """Differential tests: every path from an image to a segmentation agrees.
 
 On random images, threshold ladders and levels, ``classical_segment`` is the
-oracle for the tracked run of the built circuit and for the tracked run of
-its exported text parsed back, and the parsed text's ledger equals the built
-circuit's, stage by stage.
+oracle for the tracked run of the built circuit, for the tracked run of its
+exported text parsed back, and for the CLI's majority vote over sampled
+shots.  The parsed text's ledger equals the built circuit's, stage by stage,
+and the sampled outcomes are exactly the tracked readout's support.
 """
 import pytest
 
@@ -21,7 +22,9 @@ from neqrseg import (  # noqa: E402
     parse_circuit_text,
     quantum_cost,
     run_tracked,
+    sample_shots,
 )
+from neqrseg.cli import _majority_image  # noqa: E402
 
 
 @st.composite
@@ -50,3 +53,13 @@ def test_tracked_and_exported_text_match_classical_segment(case):
     parsed = parse_circuit_text(export_circuit_text(c))
     assert decode(run_tracked(Circuit(parsed.width, c.layout).extend(parsed))) == want
     assert _per_stage(parsed) == _per_stage(c)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(segmentations(), st.integers(0, 2**32 - 1))
+def test_sampled_shots_cover_the_tracked_support_and_vote_classical_segment(case, seed):
+    image, config = case
+    c = build_pipeline(image, config)
+    records = sample_shots(c, 1024, seed=seed)
+    assert {r.bitstring for r in records} == set(run_tracked(c).readout_distribution())
+    assert _majority_image(records, c.layout) == (classical_segment(image, config), [])

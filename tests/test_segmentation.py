@@ -19,8 +19,8 @@ from neqrseg import (
     default_thresholds,
     extract_bits,
     insert_bits,
-    pipeline_cost_formulas,
     quantum_cost,
+    reference_pipeline,
     run_tracked,
 )
 from conftest import SEGMENTED_4X4
@@ -318,25 +318,26 @@ def test_pipeline_q_mismatch():
 # ------------------------------------------------------------------- costs
 
 
-def test_pipeline_cost_formulas_q3():
-    f = pipeline_cost_formulas(3)
-    assert (f.comparator, f.segmentation, f.threshold_init) == (41, 73, 9)
+def test_reference_pipeline_cost_by_formula():
     for q in range(2, 9):
-        f = pipeline_cost_formulas(q)
-        assert f.comparator == 18 * q - 13
-        assert f.segmentation == 21 * q + 10
-        assert f.threshold_init == 3 * q
-        assert f.total == 60 * q - 6
-        assert f.component_sum == 60 * q - 16
-    with pytest.raises(ValueError, match="q must be"):
-        pipeline_cost_formulas(0)
+        ledger = quantum_cost(reference_pipeline(q))
+        assert ledger.cost_by_formula == {
+            "threshold-init-paper": 2 * q,
+            "comparator-paper": 2 * (18 * q - 13),
+            "s1-paper": 7 * q,
+            "threshold-reset-paper": q,
+            "s2-paper": 7 * q,
+            "s3-paper": 7 * q + 10,
+        }
+        assert ledger.formula_cost == 60 * q - 16
+        assert comparison_table(q)[-1].quantum_cost == 60 * q - 6
     with pytest.raises(ValueError):  # no two-threshold pipeline at q = 1
-        pipeline_cost_formulas(1)
+        reference_pipeline(1)
 
 
 def test_pipeline_formula_cost_matches_component_sum(sample_4x4, sample_config):
     ledger = quantum_cost(build_pipeline(sample_4x4, sample_config))
-    assert ledger.formula_cost == pipeline_cost_formulas(3).component_sum
+    assert ledger.formula_cost == quantum_cost(reference_pipeline(3)).formula_cost == 164
     assert ledger.actual_cost == 188
 
 

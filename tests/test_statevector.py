@@ -15,7 +15,6 @@ from neqrseg import (
     ThresholdConfig,
     build_pipeline,
     neg,
-    probabilities,
     records_to_csv,
     run,
     run_tracked,
@@ -58,28 +57,6 @@ def test_negative_control_fires_on_zero():
 def test_initial_basis_state():
     amps = amplitudes(Circuit(3), initial=0b101)
     assert amps[0b101] == pytest.approx(1.0)
-
-
-def test_probabilities_marginal():
-    state = run(Circuit(2).h(0), 0, seed=0)
-    assert probabilities(state, [0]) == pytest.approx({"0": 0.5, "1": 0.5})
-    assert probabilities(state, [1]) == pytest.approx({"0": 1.0, "1": 0.0})
-    joint = probabilities(state, [1, 0])
-    assert joint == pytest.approx({"00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0})
-
-
-def test_probabilities_qubit_order_sets_significance():
-    state = run(Circuit(2).x(0), 0, seed=0)
-    assert probabilities(state, [0, 1])["10"] == pytest.approx(1.0)
-    assert probabilities(state, [1, 0])["01"] == pytest.approx(1.0)
-
-
-def test_probabilities_rejects_bad_subsets():
-    state = run(Circuit(2), 0, seed=0)
-    with pytest.raises(ValueError):
-        probabilities(state, [0, 0])
-    with pytest.raises(ValueError):
-        probabilities(state, [2])
 
 
 def _random_permutation_circuit(rng, width, length):
