@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import PREP_STAGE, Circuit, Control, RegisterLayout
+from .circuit import PREP_STAGE, Circuit, Control, GateKind, GateOp, RegisterLayout
 from .image import ImageGray
 from .tracked import BranchMap, assert_no_collision
 
@@ -27,15 +27,14 @@ def build_preparation(image: ImageGray) -> Circuit:
     with circuit.stage(PREP_STAGE):
         for qb in layout.position:
             circuit.h(qb)
+        polarities = [(qb, (Control(qb, False), Control(qb, True))) for qb in layout.position]
         for label, value in enumerate(image.pixels):
             if value == 0:
                 continue
-            controls = tuple(
-                Control(qb, bool(label >> qb & 1)) for qb in layout.position
-            )
+            controls = tuple(pair[label >> qb & 1] for qb, pair in polarities)
             for cq in layout.color:
                 if value >> (cq - p) & 1:
-                    circuit.controlled_x(controls, cq)
+                    circuit.append(GateOp(GateKind.X, cq, controls))
     return circuit
 
 

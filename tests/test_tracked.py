@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neqrseg import (
     BranchMap,
@@ -21,7 +23,10 @@ from neqrseg import (
     build_preparation,
     classical_segment,
     decode,
+    default_thresholds,
+    export_circuit_text,
     insert_bits,
+    parse_circuit_text,
     pos,
     run_tracked,
     sample_shots,
@@ -238,3 +243,111 @@ def test_tracked_matches_statevector_sampling():
         assert abs(sampled.get(key, 0.0) - float(weight)) < 4 * sigma
 
     assert decode(run_tracked(pipe)) == classical_segment(image, config)
+
+
+def per_op_reference(circuit, initial=0):
+    """Fold the ops one at a time: the fan-out, a masked XOR or a cleared bit."""
+    branches = np.array([initial], dtype=np.int64)
+    for op in circuit.ops:
+        if op.kind is GateKind.H:
+            branches = np.column_stack((branches, branches | 1 << op.target)).ravel()
+        elif op.kind is GateKind.RESET:
+            branches = branches & ~(1 << op.target)
+        else:
+            branches = apply_permutation(branches, op)
+    return branches
+
+
+def assert_same_branches(circuit, initial=0):
+    got = run_tracked(circuit, initial).branches
+    want = per_op_reference(circuit, initial)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def fan_out_circuits(draw):
+    """A prep stage fanning out on k wires, mostly X ops whose controls cover
+    every wire H'd so far (extra controls and polarities drawn), broken up by
+    arbitrary Xs and resets, some on an H'd wire."""
+    if draw(st.booleans()):
+        layout = RegisterLayout(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        width, h_pool = layout.width, list(layout.position)
+    else:
+        layout, width = None, draw(st.integers(2, 8))
+        h_pool = list(range(width))
+    h_wires = draw(st.permutations(h_pool))[: draw(st.integers(0, min(4, len(h_pool))))]
+    h_bits = sum(1 << w for w in h_wires)
+    initial = draw(st.integers(0, (1 << width) - 1)) & ~h_bits
+    wires = st.integers(0, width - 1)
+    free = [w for w in range(width) if w not in h_wires]
+    c = Circuit(width, layout)
+    with c.stage("prep"):
+        for done in range(len(h_wires) + 1):
+            split, pending = h_wires[:done], set(h_wires[done:])
+            if done:
+                c.h(split[-1])
+            for _ in range(draw(st.integers(0, 8 if done == len(h_wires) else 2))):
+                kind = draw(st.sampled_from(["mcx"] * 6 + ["x", "reset"]))
+                if kind == "mcx" and free:
+                    target = draw(st.sampled_from(free))
+                    extra = draw(st.sets(st.sampled_from(free)))
+                    controls = [
+                        Control(w, draw(st.booleans()))
+                        for w in (*split, *sorted(extra - {target}))
+                    ]
+                    c.append(GateOp(GateKind.X, target, tuple(draw(st.permutations(controls)))))
+                    continue
+                target = draw(wires.filter(lambda w: w not in pending))
+                if kind == "reset":
+                    c.reset(target)
+                else:
+                    others = draw(st.sets(wires.filter(lambda w: w != target)))
+                    c.append(GateOp(GateKind.X, target, tuple(
+                        Control(w, draw(st.booleans())) for w in sorted(others)
+                    )))
+    return c, initial
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(fan_out_circuits())
+def test_scatter_runs_match_the_per_op_fold(case):
+    circuit, initial = case
+    assert_same_branches(circuit, initial)
+
+
+def test_x_on_an_h_wire_turns_the_scatter_off_for_good():
+    """After the CNOT onto the H'd wire q0, two branches share each value of
+    q1, so a scatter keyed on q1 alone could miss the branch |01>."""
+    c = Circuit(3)
+    with c.stage("prep"):
+        c.h(0).h(1)
+    c.cx(1, 0)
+    c.append(GateOp(GateKind.X, 2, (pos(0), Control(1, False))))
+    c.append(GateOp(GateKind.X, 2, (pos(0), pos(1))))
+    assert sorted(run_tracked(c).branches.tolist()) == [0b000, 0b010, 0b101, 0b111]
+    assert_same_branches(c)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_default_ladders_and_their_exports_match_the_per_op_fold(q):
+    rng = random.Random(q)
+    for n in range(4):
+        image = ImageGray(n, q, tuple(rng.randrange(1 << q) for _ in range(4**n)))
+        for count in range(1, min(4, (1 << q) - 1) + 1):
+            config = ThresholdConfig.with_default_levels(q, default_thresholds(q, count))
+            c = build_pipeline(image, config)
+            assert_same_branches(c)
+            parsed = parse_circuit_text(export_circuit_text(c))
+            assert_same_branches(Circuit(parsed.width, c.layout).extend(parsed))
+
+
+def test_128x128_pipeline_runs_within_its_budget():
+    rng = random.Random(128)
+    image = ImageGray(7, 8, tuple(rng.randrange(256) for _ in range(4**7)))
+    config = ThresholdConfig.with_default_levels(8, (64, 128))
+    c = build_pipeline(image, config)
+    start = time.perf_counter()
+    result = run_tracked(c)
+    elapsed = time.perf_counter() - start
+    assert decode(result) == classical_segment(image, config)
+    assert elapsed < 1.0, f"run_tracked took {elapsed:.2f}s of its 1s budget"
