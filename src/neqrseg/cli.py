@@ -111,6 +111,10 @@ def _majority_image(records: list[ShotRecord], layout) -> tuple[ImageGray, list[
 def cmd_segment(args: argparse.Namespace) -> int:
     if args.histogram is not None and args.backend != "statevector":
         raise ValueError("--histogram needs --backend statevector")
+    if args.backend == "statevector" and args.shots < 1:
+        raise ValueError("--shots must be at least 1")
+    if args.backend == "statevector" and args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     data = Path(args.input).read_bytes()
     image = read_image_pgm(data)
     # Both backends stop at int64 basis indices; refuse before building.
@@ -130,8 +134,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
         assert_no_collision(branch_map)
         result = decode(branch_map)
     else:
-        if args.shots < 1:
-            raise ValueError("--shots must be at least 1")
         records = sample_shots(circuit, args.shots, seed=args.seed)
         result, disputed = _majority_image(records, circuit.layout)
         for label in disputed:

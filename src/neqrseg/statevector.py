@@ -9,16 +9,15 @@ permutation gate is the tracked backend's masked XOR
 (:func:`neqrseg.tracked.apply_permutation`), H splits each entry and merges
 partners, and a reset measures over the support.
 
-:func:`run` follows one trajectory, one draw per reset, and scatters the
-support into a dense vector, so it is capped at 26 qubits.
-:func:`sample_shots` walks the reset tree once for all shots, as Qiskit
-Aer's shot branching does, and goes to 62 qubits: a node's k shots split at
-its reset as k1 ~ Binomial(k, p1), each child holding shots carries on
-collapsed and renormalised, and each leaf takes one multinomial draw over
-its support in basis-index order.  Each node draws from its own PCG64
-stream derived from (seed, path of outcomes), so a seed fixes the histogram
-byte for byte.  The law is that of independent trajectories, but a seed's
-counts differ from releases that re-ran the circuit per (seed, shot).
+One walk of the reset tree serves both entry points, as Qiskit Aer's shot
+branching does, up to 62 qubits.  A node's k shots split at its reset as
+k1 ~ Binomial(k, p1), and each child holding shots carries on collapsed and
+renormalised.  Each node draws from its own PCG64 stream derived from
+(seed, path of outcomes), so a seed fixes the result byte for byte.
+:func:`sample_shots` gives each leaf one multinomial draw over its support
+in basis-index order; :func:`run` walks with one shot and returns the one
+leaf's support.  The law is that of independent trajectories, but a seed's
+outcomes differ from releases that drew from a single ``default_rng(seed)``.
 """
 from __future__ import annotations
 
@@ -29,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp
-from .tracked import MAX_TRACKED_WIDTH, apply_permutation
+from .tracked import apply_permutation, check_tracked_width
 
-MAX_WIDTH = 26  # run() only; sample_shots goes to MAX_TRACKED_WIDTH
 NORM_TOL = 1e-10
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -39,8 +37,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass
 class QuantumState:
-    """Final amplitudes of a simulation over ``width`` qubits."""
+    """One trajectory's final support over ``width`` qubits, by basis index."""
 
+    indices: np.ndarray
     amplitudes: np.ndarray
     width: int
 
@@ -50,17 +49,6 @@ class ShotRecord:
     bitstring: str
     count: int
     probability: float
-
-
-def _check_inputs(circuit: Circuit, initial: int, limit: int) -> None:
-    if circuit.width > limit:
-        raise ValueError(
-            f"width {circuit.width} exceeds the {limit}-qubit statevector guard"
-        )
-    if not 0 <= initial < (1 << circuit.width):
-        raise ValueError(
-            f"initial basis index {initial} does not fit width {circuit.width}"
-        )
 
 
 def _reset_spans(ops: list[GateOp]) -> list[tuple[list[GateOp], GateOp | None]]:
@@ -96,11 +84,11 @@ def _evolve(
     return indices, amps
 
 
-def _measure(indices: np.ndarray, amps: np.ndarray, target: int):
+def _measure(indices: np.ndarray, amps: np.ndarray, probs: np.ndarray, target: int):
     """Probability of outcome 1 at a reset of ``target``, and the collapse
     onto either outcome, renormalised and with the target back at 0."""
     ones = (indices & (1 << target)) != 0
-    p1 = float((amps[ones].real**2 + amps[ones].imag**2).sum())
+    p1 = float(probs[ones].sum())
 
     def collapse(outcome: int) -> tuple[np.ndarray, np.ndarray]:
         p_keep = p1 if outcome else 1.0 - p1
@@ -114,48 +102,22 @@ def _measure(indices: np.ndarray, amps: np.ndarray, target: int):
     return p1, collapse
 
 
-def run(circuit: Circuit, initial: int = 0, *, seed: int) -> QuantumState:
-    """Simulate one trajectory from the basis state ``initial``."""
-    _check_inputs(circuit, initial, MAX_WIDTH)
-    rng = np.random.default_rng(seed)
-    indices = np.array([initial], dtype=np.int64)
-    support_amps = np.ones(1, dtype=np.complex128)
-    for ops, reset in _reset_spans(circuit.ops):
-        indices, support_amps = _evolve(ops, indices, support_amps)
-        if abs(float(np.vdot(support_amps, support_amps).real) - 1.0) > NORM_TOL:
-            raise RuntimeError("state norm drifted beyond tolerance")
-        if reset is not None:
-            p1, collapse = _measure(indices, support_amps, reset.target)
-            indices, support_amps = collapse(1 if rng.random() < p1 else 0)
-    amps = np.zeros(1 << circuit.width, dtype=np.complex128)
-    amps[indices] = support_amps
-    return QuantumState(amps, circuit.width)
-
-
-def _record_key(circuit: Circuit, basis_index: int) -> str:
-    if circuit.layout is not None:
-        return circuit.layout.readout_bitstring(basis_index)
-    return format(basis_index, f"0{circuit.width}b")
-
-
 def _node_rng(seed: int, path: tuple[int, ...]) -> np.random.Generator:
     # spawn_key numbers the node as SeedSequence.spawn would; [seed, *path]
     # is zero-padded, so the root and its all-zero descendants would collide.
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]:
-    """Sample ``shots`` runs from |0...0> in one walk of the reset tree.
-
-    Outcomes are aggregated by the (color, position) readout when the
-    circuit has a layout, else by the full bitstring, and returned sorted by
-    bitstring.
-    """
-    _check_inputs(circuit, 0, MAX_TRACKED_WIDTH)
+def _leaves(circuit: Circuit, shots: int, seed: int):
+    """Walk the reset tree from |0...0> with ``shots`` shots, yielding
+    ``(path, held, indices, amps, probs)`` at each leaf that holds shots:
+    its outcomes, its shots, and its support sorted by basis index."""
+    check_tracked_width(circuit.width)
     if shots < 1:
         raise ValueError("shots must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     spans = _reset_spans(circuit.ops)
-    counter: Counter[str] = Counter()
     # (reset outcomes so far, shots held, support indices, amplitudes)
     stack = [((), shots, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))]
     while stack:
@@ -165,19 +127,43 @@ def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]
         # Sum in basis-index order, so the draws depend on the state alone.
         order = np.argsort(indices)
         indices, amps = indices[order], amps[order]
-        if reset is not None:
-            p1, collapse = _measure(indices, amps, reset.target)
-            # A certain outcome takes no draw (and binomial refuses 1 + 1e-16).
-            ones = held if p1 >= 1.0 else 0
-            if 0.0 < p1 < 1.0:
-                ones = int(_node_rng(seed, path).binomial(held, p1))
-            for outcome, count in ((0, held - ones), (1, ones)):
-                if count:
-                    stack.append((path + (outcome,), count, *collapse(outcome)))
-            continue
         probs = amps.real**2 + amps.imag**2
         if abs(probs.sum() - 1.0) > NORM_TOL:
             raise RuntimeError("state norm drifted beyond tolerance")
+        if reset is None:
+            yield path, held, indices, amps, probs
+            continue
+        p1, collapse = _measure(indices, amps, probs, reset.target)
+        # A certain outcome takes no draw (and binomial refuses 1 + 1e-16).
+        ones = held if p1 >= 1.0 else 0
+        if 0.0 < p1 < 1.0:
+            ones = int(_node_rng(seed, path).binomial(held, p1))
+        for outcome, count in ((0, held - ones), (1, ones)):
+            if count:
+                stack.append((path + (outcome,), count, *collapse(outcome)))
+
+
+def run(circuit: Circuit, *, seed: int) -> QuantumState:
+    """Follow one trajectory from |0...0>: the single leaf of a one-shot walk."""
+    ((_, _, indices, amps, _),) = _leaves(circuit, 1, seed)
+    return QuantumState(indices, amps, circuit.width)
+
+
+def _record_key(circuit: Circuit, basis_index: int) -> str:
+    if circuit.layout is not None:
+        return circuit.layout.readout_bitstring(basis_index)
+    return format(basis_index, f"0{circuit.width}b")
+
+
+def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]:
+    """Sample ``shots`` runs from |0...0> in one walk of the reset tree.
+
+    Outcomes are aggregated by the (color, position) readout when the
+    circuit has a layout, else by the full bitstring, and returned sorted by
+    bitstring.
+    """
+    counter: Counter[str] = Counter()
+    for path, held, indices, _, probs in _leaves(circuit, shots, seed):
         counts = _node_rng(seed, path).multinomial(held, probs / probs.sum())
         for idx, count in zip(indices[counts > 0].tolist(), counts[counts > 0].tolist()):
             counter[_record_key(circuit, idx)] += count

@@ -10,7 +10,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from neqrseg import (
@@ -59,12 +58,13 @@ def test_criterion_1_preparation_state():
     def body():
         prep = build_preparation(SAMPLE_2X2)
         layout = prep.layout
-        amps = run(prep, 0, seed=0).amplitudes
+        state = run(prep, seed=0)
+        amps = dict(zip(state.indices.tolist(), state.amplitudes.tolist()))
         expected = {}
         for label, value in enumerate(SAMPLE_2X2.pixels):
             idx = insert_bits(insert_bits(0, layout.position, label), layout.color, value)
             expected[idx] = 0.5
-        support = np.flatnonzero(np.abs(amps) > 1e-10)
+        support = [idx for idx, amp in amps.items() if abs(amp) > 1e-10]
         assert sorted(support) == sorted(expected)
         for idx, amp in expected.items():
             assert abs(amps[idx] - amp) <= 1e-10

@@ -187,6 +187,8 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
         ([], "thresholds required"),
         (["--t", "1,x"], "use decimal or 0b binary"),
         (["--t", "2,4", "--levels", "0,4"], "levels"),
+        (["--t", "2,4", "--backend", "statevector", "--shots", "0"], "--shots"),
+        (["--t", "2,4", "--backend", "statevector", "--seed", "-1"], "--seed"),
     ],
 )
 def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):

@@ -21,14 +21,14 @@ def random_image(rng, n, q):
     return ImageGray(n, q, tuple(rng.randrange(1 << q) for _ in range(4**n)))
 
 
-def expected_statevector(image, layout):
-    amps = np.zeros(1 << layout.width, dtype=complex)
+def expected_support(image, layout):
+    """Basis indices in increasing order, and their amplitudes."""
     amp = 1.0 / (1 << image.n)
-    for label, value in enumerate(image.pixels):
-        idx = insert_bits(0, layout.position, label)
-        idx = insert_bits(idx, layout.color, value)
-        amps[idx] = amp
-    return amps
+    indices = sorted(
+        insert_bits(insert_bits(0, layout.position, label), layout.color, value)
+        for label, value in enumerate(image.pixels)
+    )
+    return indices, np.full(len(indices), amp, dtype=complex)
 
 
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
@@ -37,8 +37,9 @@ def test_preparation_amplitudes_exact(n, q):
     for _ in range(5):
         image = random_image(rng, n, q)
         prep = build_preparation(image)
-        state = run(prep, 0, seed=0)
-        expected = expected_statevector(image, prep.layout)
+        state = run(prep, seed=0)
+        indices, expected = expected_support(image, prep.layout)
+        assert state.indices.tolist() == indices
         assert np.allclose(state.amplitudes, expected, atol=1e-12)
 
 

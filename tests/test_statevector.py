@@ -22,8 +22,12 @@ from neqrseg import (
 )
 
 
-def amplitudes(circuit, seed=0, initial=0):
-    return run(circuit, initial, seed=seed).amplitudes
+def amplitudes(circuit, seed=0):
+    """The final state of ``run`` as a dense 2^width vector."""
+    state = run(circuit, seed=seed)
+    amps = np.zeros(1 << state.width, dtype=np.complex128)
+    amps[state.indices] = state.amplitudes
+    return amps
 
 
 def test_x_flips_qubit_zero():
@@ -52,11 +56,6 @@ def test_controlled_gates_on_basis_states():
 def test_negative_control_fires_on_zero():
     amps = amplitudes(Circuit(2).cx(neg(0), 1))
     assert amps[0b10] == pytest.approx(1.0)
-
-
-def test_initial_basis_state():
-    amps = amplitudes(Circuit(3), initial=0b101)
-    assert amps[0b101] == pytest.approx(1.0)
 
 
 def _random_permutation_circuit(rng, width, length):
@@ -134,12 +133,13 @@ def test_sampling_uniform_two_qubit():
 
 
 def test_guards():
-    with pytest.raises(ValueError, match="guard"):
-        run(Circuit(27), 0, seed=0)
-    with pytest.raises(ValueError, match="initial"):
-        run(Circuit(2), 4, seed=0)
     with pytest.raises(ValueError, match="shots"):
         sample_shots(Circuit(1), 0, seed=0)
+    # refused up front, also where no reset would ever draw
+    with pytest.raises(ValueError, match="seed"):
+        run(Circuit(1).x(0), seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        sample_shots(Circuit(1).x(0), 8, seed=-1)
 
 
 def test_records_to_csv_layout():
@@ -153,10 +153,11 @@ def test_records_to_csv_layout():
 #
 # The simulator keeps only the support of the state.  This reference keeps the
 # full 2^width vector and pairs every index whose target bit is 0 (and whose
-# controls fire) with its partner.  ``dense_trajectory`` draws like ``run``:
-# one draw per reset.  ``dense_sample`` walks the reset tree like
-# ``sample_shots``: each node's generator comes from (seed, path), its shots
-# split binomially at the reset, and each leaf takes one multinomial draw.
+# controls fire) with its partner.  Each node of the reset tree draws from
+# its own generator, made from (seed, path of outcomes).  ``dense_trajectory``
+# follows one shot like ``run``: Binomial(1, p1) at each reset whose outcome
+# is uncertain.  ``dense_sample`` walks the tree like ``sample_shots``: its
+# shots split binomially at the reset, and each leaf takes one multinomial draw.
 # Probabilities are summed over the nonzero entries in basis-index order, as
 # the sampler sums over its sorted support.  ``dense_law`` walks the same
 # tree without sampling.
@@ -214,10 +215,14 @@ def _dense_collapse(amps, reset, outcome, p1):
     return out
 
 
-def _dense_start(circuit, initial=0):
+def _dense_start(circuit):
     amps = np.zeros(1 << circuit.width, dtype=complex)
-    amps[initial] = 1.0
+    amps[0] = 1.0
     return amps
+
+
+def _dense_rng(seed, path):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
 def _key(circuit, idx):
@@ -226,13 +231,17 @@ def _key(circuit, idx):
     return format(idx, f"0{circuit.width}b")
 
 
-def dense_trajectory(circuit, rng, initial=0):
-    amps = _dense_start(circuit, initial)
+def dense_trajectory(circuit, seed):
+    amps, path = _dense_start(circuit), ()
     for ops, reset in _dense_spans(circuit):
         amps = _dense_evolve(ops, amps)
         if reset is not None:
             p1 = _dense_p1(amps, reset)
-            amps = _dense_collapse(amps, reset, rng.random() < p1, p1)
+            outcome = int(p1 >= 1.0)
+            if 0.0 < p1 < 1.0:
+                outcome = int(_dense_rng(seed, path).binomial(1, p1))
+            amps = _dense_collapse(amps, reset, outcome, p1)
+            path += (outcome,)
     return amps
 
 
@@ -244,7 +253,7 @@ def dense_sample(circuit, shots, seed):
         path, held, amps = stack.pop()
         ops, reset = spans[len(path)]
         amps = _dense_evolve(ops, amps)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+        rng = _dense_rng(seed, path)
         if reset is None:
             probs = _support_probs(amps)
             counts = rng.multinomial(held, probs / probs.sum())
@@ -306,11 +315,15 @@ def test_matches_dense_reference_on_random_circuits():
     rng = random.Random(2105)
     for case in range(60):
         c = _random_mixed_circuit(rng, rng.randint(1, 10), rng.randint(1, 40))
-        expected = dense_trajectory(c, np.random.default_rng(case))
+        expected = dense_trajectory(c, case)
         # The reset probability is summed over the support instead of the
         # dense vector, so amplitudes may differ in the last bits.
         assert np.allclose(amplitudes(c, seed=case), expected, rtol=0, atol=1e-12)
         assert sample_shots(c, 16, seed=case) == dense_sample(c, 16, case)
+        # One shot follows run's trajectory and reads an index of its support.
+        (record,) = sample_shots(c, 1, seed=case)
+        support = run(c, seed=case).indices.tolist()
+        assert record.bitstring in {_key(c, idx) for idx in support}
 
 
 def test_matches_dense_reference_on_pipelines():
@@ -321,7 +334,7 @@ def test_matches_dense_reference_on_pipelines():
     ]
     for image, config, shots in cases:
         pipe = build_pipeline(image, config)
-        expected = dense_trajectory(pipe, np.random.default_rng(0))
+        expected = dense_trajectory(pipe, 0)
         assert np.array_equal(amplitudes(pipe, seed=0), expected)
         assert sample_shots(pipe, shots, seed=0) == dense_sample(pipe, shots, 0)
 
@@ -348,3 +361,6 @@ def test_sampling_is_not_capped_at_the_dense_width():
     assert records == [ShotRecord("1" + "0" * 39, 8, 1.0)]
     with pytest.raises(ValueError, match="62-qubit"):
         sample_shots(Circuit(63), 8, seed=0)
+    assert run(Circuit(40).x(39), seed=0).indices.tolist() == [1 << 39]
+    with pytest.raises(ValueError, match="62-qubit"):
+        run(Circuit(63), seed=0)
