@@ -12,8 +12,6 @@ from .circuit import (
     GateOp,
     RegisterLayout,
     Stage,
-    extract_bits,
-    insert_bits,
     neg,
     pos,
 )
@@ -44,7 +42,6 @@ from .statevector import (
 from .tracked import (
     BranchMap,
     CollisionError,
-    apply_to_basis,
     assert_no_collision,
     run_tracked,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "ShotRecord",
     "Stage",
     "ThresholdConfig",
-    "apply_to_basis",
     "assert_no_collision",
     "build_comparator",
     "build_pipeline",
@@ -83,8 +79,6 @@ __all__ = [
     "decode",
     "default_thresholds",
     "export_circuit_text",
-    "extract_bits",
-    "insert_bits",
     "lower",
     "neg",
     "parse_circuit_text",

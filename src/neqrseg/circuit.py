@@ -2,8 +2,8 @@
 
 A gate is H, reset, or an X with any number of mixed-polarity controls;
 ``GateOp.mnemonic`` names an X by its control count (``x``, ``cx``, ``ccx``,
-``mcx``) for the cost ledger, the QASM printer and ``str``.  Qubit ``j`` is
-bit ``j`` of a basis-state index (little endian).  The wiring is fixed by the
+``mcx``) for the cost ledger and the QASM printer.  Qubit ``j`` is bit ``j``
+of a basis-state index (little endian).  The wiring is fixed by the
 image size: :class:`RegisterLayout` derives it from ``(n, q)`` with position
 in the low wires, then color, threshold, comparator aux and the result pair.
 Its register tuples list qubit indices most significant bit first, so
@@ -96,10 +96,6 @@ class GateOp:
         n = len(self.controls)
         return ("cx", "ccx", "mcx")[min(n, 3) - 1] if n else self.kind.value
 
-    def __str__(self) -> str:
-        ctrls = ",".join(("" if c.positive else "!") + f"q{c.qubit}" for c in self.controls)
-        return f"{self.mnemonic}({ctrls}{' -> ' if ctrls else ''}q{self.target})"
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -152,27 +148,6 @@ class RegisterLayout:
 
     def readout_bitstring(self, basis_index: int) -> str:
         return format(self.readout_value(basis_index), f"0{self.q + 2 * self.n}b")
-
-
-def extract_bits(basis_index: int, qubits: Iterable[int]) -> int:
-    """Read the value of a register given MSB-first qubit indices.
-
-    ``basis_index`` may be an int or an int64 index array; an array keeps its
-    shape even when the register is empty.
-    """
-    value = basis_index & 0
-    for qb in qubits:
-        value = value << 1 | (basis_index >> qb & 1)
-    return value
-
-
-def insert_bits(basis_index: int, qubits: Iterable[int], value: int) -> int:
-    """Return ``basis_index`` with the register at ``qubits`` set to ``value``."""
-    qubits = tuple(qubits)
-    for i, qb in enumerate(qubits):
-        bit = value >> (len(qubits) - 1 - i) & 1
-        basis_index = (basis_index & ~(1 << qb)) | (bit << qb)
-    return basis_index
 
 
 @dataclass(frozen=True)
@@ -322,16 +297,6 @@ class Circuit:
             s = self.stage_named(name)
             sub.append_span(s, self.ops[s.start : s.stop])
         return sub
-
-    def without_stages(self, *names: str) -> "Circuit":
-        """Copy without the named stages; every other op keeps its order."""
-        for name in names:
-            self.stage_named(name)
-        out = Circuit(self.width, self.layout)
-        for s, start, stop in self.spans():
-            if s is None or s.name not in names:
-                out.append_span(s, self.ops[start:stop])
-        return out
 
     def extend(self, fragment: "Circuit") -> "Circuit":
         """Append another circuit's ops and stages after this circuit's."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -28,12 +29,10 @@ def _parse_value_list(text: str, what: str) -> list[int]:
     values = []
     for token in text.split(","):
         token = token.strip()
-        try:
-            values.append(int(token, 2 if token.lower().startswith("0b") else 10))
-        except ValueError:
-            raise ValueError(
-                f"bad {what} {token!r}: use decimal or 0b binary"
-            ) from None
+        # int() alone takes a sign, "_" and any Unicode digit; it refuses 4301+ digits
+        if not re.fullmatch(r"[0-9]{1,4300}|0[bB][01]+", token):
+            raise ValueError(f"bad {what} {token!r}: use decimal or 0b binary")
+        values.append(int(token, 2 if token.lower().startswith("0b") else 10))
     return values
 
 

@@ -45,17 +45,10 @@ class ImageGray:
         s = self.side
         return [self.pixels[r * s : (r + 1) * s] for r in range(s)]
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]], q: int) -> "ImageGray":
-        side = len(rows)
-        for row in rows:
-            if len(row) != side:
-                raise ValueError(
-                    f"{side} rows need {side} values each, got a row of {len(row)}"
-                )
-        n = max(side - 1, 0).bit_length()
-        flat = tuple(v for row in rows for v in row)
-        return cls(n, q, flat)
+
+def _plain_int(token: str) -> int:
+    """``int(token)``; ValueError unless ASCII ``[0-9]+`` (no sign, ``_`` or Unicode digit)."""
+    return int(token if token.isascii() and token.isdigit() else "")
 
 
 def read_image_pgm(data: bytes | str) -> ImageGray:
@@ -67,7 +60,7 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
     if not tokens or tokens[0] != "P2":
         raise ValueError("not a plain PGM (P2) file")
     try:
-        fields = [int(t) for t in tokens[1:4]]
+        fields = [_plain_int(t) for t in tokens[1:4]]
     except ValueError:
         raise ValueError("malformed PGM header") from None
     if len(fields) < 3:
@@ -88,7 +81,7 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
     if len(values) > width * height:
         raise ValueError("trailing data after pixel values")
     try:
-        pixels = tuple(int(v) for v in values)
+        pixels = tuple(_plain_int(v) for v in values)
     except ValueError:
         raise ValueError("malformed pixel value") from None
     for v in pixels:

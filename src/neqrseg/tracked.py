@@ -41,16 +41,6 @@ class CollisionError(ValueError):
     pass
 
 
-def apply_to_basis(op: GateOp, assignment: int) -> int:
-    """Apply a permutation gate to a basis state given as a bit vector."""
-    if op.kind in (GateKind.H, GateKind.RESET):
-        raise ValueError(f"{op.kind.name} is not a basis permutation")
-    for c in op.controls:
-        if bool(assignment >> c.qubit & 1) != c.positive:
-            return assignment
-    return assignment ^ (1 << op.target)
-
-
 def apply_permutation(indices: np.ndarray, op: GateOp) -> np.ndarray:
     """Flip the target in every index where ``index & op.mask == op.value``."""
     fires = (indices & op.mask) == op.value
@@ -116,8 +106,8 @@ def check_tracked_width(width: int) -> None:
         )
 
 
-def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
-    """Track a circuit exactly, all branches at once.
+def run_tracked(circuit: Circuit) -> BranchMap:
+    """Track a circuit exactly from |0...0>, all branches at once.
 
     H is accepted only inside the ``prep`` stage, at most once per qubit, on
     a qubit that is |0> in every branch (and, when the circuit has a layout,
@@ -125,13 +115,9 @@ def run_tracked(circuit: Circuit, initial: int = 0) -> BranchMap:
     unsound; such circuits belong on the statevector backend.
     """
     check_tracked_width(circuit.width)
-    if not 0 <= initial < (1 << circuit.width):
-        raise ValueError(
-            f"initial basis index {initial} does not fit width {circuit.width}"
-        )
     prep = next((s for s in circuit.stages if s.name == PREP_STAGE), None)
     prep_start, prep_stop = (prep.start, prep.stop) if prep else (0, 0)
-    branches = np.array([initial], dtype=np.int64)
+    branches = np.zeros(1, dtype=np.int64)
     h_seen: set[int] = set()
     # The H'd wires; -1, which no control mask covers, once an X or reset
     # hits one, since the branches may then repeat a pattern of them.

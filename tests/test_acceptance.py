@@ -25,8 +25,6 @@ from neqrseg import (
     comparison_table,
     decode,
     default_thresholds,
-    extract_bits,
-    insert_bits,
     quantum_cost,
     reference_pipeline,
     run,
@@ -34,6 +32,7 @@ from neqrseg import (
     sample_shots,
 )
 from conftest import SAMPLE_2X2, SAMPLE_4X4, SEGMENTED_4X4
+from oracles import extract_bits, from_basis, insert_bits, without_stages
 
 
 def check(number, label, body, budget=None):
@@ -83,7 +82,7 @@ def test_criterion_1_preparation_state():
 
 def test_criterion_2_comparator_exhaustive():
     def body():
-        from neqrseg.tracked import apply_to_basis
+        from oracles import apply_to_basis
 
         for q in (1, 2, 3, 4):
             spec = ComparatorSpec(
@@ -116,10 +115,10 @@ def test_criterion_3_worked_pixel():
         config = ThresholdConfig.with_default_levels(3, (2, 4))
         pipe = build_pipeline(SAMPLE_4X4, config)
         layout = pipe.layout
-        body_only = pipe.without_stages("prep")
+        body_only = without_stages(pipe, "prep")
         start = insert_bits(0, layout.color, 0b001)
         start = insert_bits(start, layout.position, 0b0010)
-        result = run_tracked(body_only, initial=start)
+        result = run_tracked(from_basis(body_only, start))
         assert len(result.branches) == 1
         end = int(result.branches[0])
         assert extract_bits(end, layout.color) == 0b000

@@ -16,7 +16,7 @@ from neqrseg import (
     reference_pipeline,
     write_image_pgm,
 )
-from neqrseg.cli import _majority_image, main
+from neqrseg.cli import _majority_image, _parse_value_list, main
 from neqrseg.statevector import ShotRecord
 from conftest import SEGMENTED_4X4
 
@@ -189,6 +189,11 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
         (["--t", "2,4", "--levels", "0,4"], "levels"),
         (["--t", "2,4", "--backend", "statevector", "--shots", "0"], "--shots"),
         (["--t", "2,4", "--backend", "statevector", "--seed", "-1"], "--seed"),
+        (["--t", "+2,4"], "use decimal or 0b binary"),
+        (["--t", "2,1_0"], "use decimal or 0b binary"),
+        (["--t", "2,\u0663"], "use decimal or 0b binary"),
+        (["--t-low", "0b1_0", "--t-high", "4"], "use decimal or 0b binary"),
+        (["--t", "2,4", "--levels", "0,+4,7"], "use decimal or 0b binary"),
     ],
 )
 def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
@@ -199,6 +204,10 @@ def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
     assert err.startswith("error:")
     assert fragment in err
     assert not out.exists()
+
+
+def test_value_lists_take_ascii_decimal_or_binary():
+    assert _parse_value_list(" 5, 0b101,0B11 ,007", "threshold") == [5, 5, 3, 7]
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -11,11 +11,9 @@ from neqrseg import (
     build_comparator,
     build_preparation,
     comparator_formula_cost,
-    extract_bits,
-    insert_bits,
     run_tracked,
 )
-from neqrseg.tracked import apply_to_basis
+from oracles import apply_to_basis, extract_bits, insert_bits
 
 
 def default_spec(q):

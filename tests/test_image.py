@@ -1,6 +1,7 @@
 import pytest
 
 from neqrseg import ImageGray, read_image_pgm, write_image_pgm
+from oracles import image_from_rows
 
 
 def test_image_validation():
@@ -14,9 +15,9 @@ def test_image_validation():
 
 def test_from_rows_rejects_ragged_rows():
     with pytest.raises(ValueError, match="2 rows need 2 values each"):
-        ImageGray.from_rows([[1, 2, 3], [0]], 2)
+        image_from_rows([[1, 2, 3], [0]], 2)
     with pytest.raises(ValueError, match="2 rows need 2 values each"):
-        ImageGray.from_rows([[1, 2], [0]], 2)
+        image_from_rows([[1, 2], [0]], 2)
 
 
 def test_image_accessors(sample_4x4):
@@ -28,7 +29,7 @@ def test_image_accessors(sample_4x4):
     with pytest.raises(IndexError):
         sample_4x4.get(4, 0)
     assert sample_4x4.rows()[1] == (2, 3, 0, 1)
-    assert ImageGray.from_rows([list(r) for r in sample_4x4.rows()], 3) == sample_4x4
+    assert image_from_rows([list(r) for r in sample_4x4.rows()], 3) == sample_4x4
 
 
 def test_single_pixel_image():
@@ -68,6 +69,11 @@ def test_pgm_accepts_bytes_and_str():
         ("P2\n2 two\n3\n0 0 0 0\n", "malformed PGM header"),
         ("P2\n2 2\n", "truncated"),
         ("", "not a plain PGM"),
+        # int() takes each of these; plain PGM numbers are ASCII [0-9]+ only
+        pytest.param("P2 1 1 1 +1", "malformed pixel", id="sign"),
+        pytest.param("P2 \u0661 \u0661 \u0663 \u0663", "malformed PGM header", id="arabic-indic"),
+        pytest.param("P2 2 2 1_5 1 2 3 4", "malformed PGM header", id="underscore"),
+        pytest.param("P2 1 1 1 \uff11", "malformed pixel", id="fullwidth"),
     ],
 )
 def test_pgm_rejects_bad_input(text, fragment):

@@ -10,11 +10,11 @@ from neqrseg import (
     RegisterLayout,
     build_preparation,
     decode,
-    insert_bits,
     quantum_cost,
     run,
     run_tracked,
 )
+from oracles import insert_bits
 
 
 def random_image(rng, n, q):

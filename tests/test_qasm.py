@@ -11,7 +11,6 @@ from neqrseg import (
     ImageGray,
     QasmParseError,
     ThresholdConfig,
-    apply_to_basis,
     build_pipeline,
     classical_segment,
     decode,
@@ -24,6 +23,7 @@ from neqrseg import (
     run_tracked,
 )
 from neqrseg.qasm import MAX_QREG_WIDTH
+from oracles import apply_to_basis
 
 
 def test_export_header_and_simple_gates():
@@ -229,6 +229,14 @@ def test_mcx_without_room_is_rejected():
         pytest.param(
             f"OPENQASM 2.0;\nqreg q[1];\n// stage:a f={'9' * 5000}\n", 3, "malformed stage marker",
             id="quote-5000-digits",
+        ),
+        pytest.param("OPENQASM 2.0;\nqreg q[\u0663];\n", 2, "malformed qreg", id="qreg-arabic-indic"),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[3];\nx q[\u0662];\n", 3, "malformed qubit", id="qubit-arabic-indic"
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\nqreg q[1];\n// stage:a f=\u0667\n", 3, "malformed stage marker",
+            id="quote-arabic-indic",
         ),
     ],
 )

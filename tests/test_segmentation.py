@@ -17,13 +17,12 @@ from neqrseg import (
     comparison_table,
     decode,
     default_thresholds,
-    extract_bits,
-    insert_bits,
     quantum_cost,
     reference_pipeline,
     run_tracked,
 )
 from conftest import SEGMENTED_4X4
+from oracles import apply_to_basis, extract_bits, insert_bits
 
 
 # ---------------------------------------------------------------- config
@@ -103,8 +102,6 @@ def test_classical_segment_q_mismatch():
 
 
 def evaluate(circuit, assignment):
-    from neqrseg.tracked import apply_to_basis
-
     for op in circuit.ops:
         if op.kind.value == "reset":
             assignment &= ~(1 << op.target)

@@ -17,7 +17,6 @@ from neqrseg import (
     ImageGray,
     RegisterLayout,
     ThresholdConfig,
-    apply_to_basis,
     assert_no_collision,
     build_pipeline,
     build_preparation,
@@ -25,13 +24,13 @@ from neqrseg import (
     decode,
     default_thresholds,
     export_circuit_text,
-    insert_bits,
     parse_circuit_text,
     pos,
     run_tracked,
     sample_shots,
 )
 from neqrseg.tracked import apply_permutation
+from oracles import apply_to_basis, from_basis, insert_bits
 
 
 def test_apply_to_basis_refuses_non_permutations():
@@ -140,11 +139,6 @@ def test_permutation_part_is_reversible():
     assert sorted(int(b) for b in result.branches) == [0b00, 0b01, 0b10, 0b11]
 
 
-def test_initial_assignment_range_checked():
-    with pytest.raises(ValueError, match="initial"):
-        run_tracked(Circuit(2), initial=4)
-
-
 def test_width_beyond_int64_indices_refused():
     with pytest.raises(ValueError, match="62-qubit limit"):
         run_tracked(Circuit(63))
@@ -245,9 +239,9 @@ def test_tracked_matches_statevector_sampling():
     assert decode(run_tracked(pipe)) == classical_segment(image, config)
 
 
-def per_op_reference(circuit, initial=0):
+def per_op_reference(circuit):
     """Fold the ops one at a time: the fan-out, a masked XOR or a cleared bit."""
-    branches = np.array([initial], dtype=np.int64)
+    branches = np.zeros(1, dtype=np.int64)
     for op in circuit.ops:
         if op.kind is GateKind.H:
             branches = np.column_stack((branches, branches | 1 << op.target)).ravel()
@@ -258,9 +252,9 @@ def per_op_reference(circuit, initial=0):
     return branches
 
 
-def assert_same_branches(circuit, initial=0):
-    got = run_tracked(circuit, initial).branches
-    want = per_op_reference(circuit, initial)
+def assert_same_branches(circuit):
+    got = run_tracked(circuit).branches
+    want = per_op_reference(circuit)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -312,7 +306,7 @@ def fan_out_circuits(draw):
 @given(fan_out_circuits())
 def test_scatter_runs_match_the_per_op_fold(case):
     circuit, initial = case
-    assert_same_branches(circuit, initial)
+    assert_same_branches(from_basis(circuit, initial))
 
 
 def test_x_on_an_h_wire_turns_the_scatter_off_for_good():
