@@ -15,7 +15,7 @@ from .circuit import (
     neg,
     pos,
 )
-from .comparator import ComparatorSpec, build_comparator, comparator_formula_cost
+from .comparator import build_comparator, comparator_formula_cost
 from .cost import CostLedger, GateCounts, quantum_cost
 from .image import ImageGray, read_image_pgm, write_image_pgm
 from .neqr import build_preparation, decode
@@ -52,7 +52,6 @@ __all__ = [
     "BranchMap",
     "Circuit",
     "CollisionError",
-    "ComparatorSpec",
     "ComparisonRow",
     "Control",
     "CostLedger",

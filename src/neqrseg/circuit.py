@@ -228,7 +228,8 @@ class Circuit:
     def stage(
         self, name: str, quoted: tuple[str, int] | None = None
     ) -> Iterator["Circuit"]:
-        """Open a named stage; ops appended inside the block belong to it."""
+        """Open a named stage; ops appended inside the block belong to it.
+        A block that raises is rolled back: its ops go and no stage is kept."""
         if self._open_stage is not None:
             raise ValueError(f"stage {self._open_stage!r} is still open")
         if name.split() != [name]:
@@ -246,6 +247,7 @@ class Circuit:
         try:
             yield self
         except BaseException:
+            del self.ops[self._open_start :]
             self._open_stage = None
             raise
         else:
@@ -298,16 +300,16 @@ class Circuit:
             sub.append_span(s, self.ops[s.start : s.stop])
         return sub
 
-    def extend(self, fragment: "Circuit") -> "Circuit":
+    def extend(self, other: "Circuit") -> "Circuit":
         """Append another circuit's ops and stages after this circuit's."""
-        if self._open_stage is not None or fragment._open_stage is not None:
+        if self._open_stage is not None or other._open_stage is not None:
             raise ValueError("cannot compose circuits with an open stage")
-        if fragment.width > self.width:
-            raise ValueError("fragment is wider than the host circuit")
+        if other.width > self.width:
+            raise ValueError("appended circuit is wider than the host circuit")
         mine = set(self.stage_names())
-        for s in fragment.stages:
+        for s in other.stages:
             if s.name in mine:
                 raise ValueError(f"duplicate stage name {s.name!r}")
-        for s, start, stop in fragment.spans():
-            self.append_span(s, fragment.ops[start:stop])
+        for s, start, stop in other.spans():
+            self.append_span(s, other.ops[start:stop])
         return self

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .circuit import RegisterLayout
 from .cost import quantum_cost
-from .image import ImageGray, read_image_pgm, write_image_pgm
+from .image import ImageGray, _plain_int, read_image_pgm, write_image_pgm
 from .qasm import MAX_QREG_WIDTH, export_circuit_text
 from .segmentation import (
     ThresholdConfig,
@@ -34,6 +34,14 @@ def _parse_value_list(text: str, what: str) -> list[int]:
             raise ValueError(f"bad {what} {token!r}: use decimal or 0b binary")
         values.append(int(token, 2 if token.lower().startswith("0b") else 10))
     return values
+
+
+def _int_option(text: str, option: str) -> int:
+    """An integer option's value in ASCII digits; a leading '-' reaches the range checks."""
+    try:
+        return -_plain_int(text[1:]) if text[:1] == "-" else _plain_int(text)
+    except ValueError:
+        raise ValueError(f"{option} takes ASCII digits, got {text!r}") from None
 
 
 def _thresholds_from_args(args: argparse.Namespace) -> list[int]:
@@ -108,11 +116,13 @@ def _majority_image(records: list[ShotRecord], layout) -> tuple[ImageGray, list[
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    shots = _int_option(args.shots, "--shots")
+    seed = _int_option(args.seed, "--seed")
     if args.histogram is not None and args.backend != "statevector":
         raise ValueError("--histogram needs --backend statevector")
-    if args.backend == "statevector" and args.shots < 1:
+    if args.backend == "statevector" and shots < 1:
         raise ValueError("--shots must be at least 1")
-    if args.backend == "statevector" and args.seed < 0:
+    if args.backend == "statevector" and seed < 0:
         raise ValueError("--seed must be non-negative")
     data = Path(args.input).read_bytes()
     image = read_image_pgm(data)
@@ -133,7 +143,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         assert_no_collision(branch_map)
         result = decode(branch_map)
     else:
-        records = sample_shots(circuit, args.shots, seed=args.seed)
+        records = sample_shots(circuit, shots, seed=seed)
         result, disputed = _majority_image(records, circuit.layout)
         for label in disputed:
             print(
@@ -158,17 +168,19 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    if args.q < 1:
+    q = _int_option(args.q, "--q")
+    if q < 1:
         raise ValueError("--q must be at least 1")
     # Every op is costed as exported, so the reference pipeline (n = 1) must
     # fit a qreg.  A huge --q is refused before its layout is built.
-    if args.q > MAX_QREG_WIDTH or RegisterLayout(1, args.q).width > MAX_QREG_WIDTH:
-        raise ValueError(f"--q {args.q} needs more than the {MAX_QREG_WIDTH} qubits costing allows")
-    count = args.thresholds
-    if count is None:
-        count = 2 if (1 << args.q) - 1 >= 2 else 1
-    circuit = reference_pipeline(args.q, count)
-    payload = _cost_payload(circuit, args.q, count)
+    if q > MAX_QREG_WIDTH or RegisterLayout(1, q).width > MAX_QREG_WIDTH:
+        raise ValueError(f"--q {q} needs more than the {MAX_QREG_WIDTH} qubits costing allows")
+    if args.thresholds is None:
+        count = 2 if (1 << q) - 1 >= 2 else 1
+    else:
+        count = _int_option(args.thresholds, "--thresholds")
+    circuit = reference_pipeline(q, count)
+    payload = _cost_payload(circuit, q, count)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -192,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="tracked",
         help="simulation backend (default: tracked)",
     )
-    seg.add_argument("--shots", type=int, default=1024, help="statevector shots")
-    seg.add_argument("--seed", type=int, default=0, help="random seed")
+    seg.add_argument("--shots", default="1024", help="statevector shots")
+    seg.add_argument("--seed", default="0", help="random seed")
     seg.add_argument("--out", required=True, help="output PGM file")
     seg.add_argument("--histogram", help="write a shot histogram CSV here")
     seg.add_argument("--cost-report", help="write a cost report JSON here")
@@ -201,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     seg.set_defaults(func=cmd_segment)
 
     cost = sub.add_parser("cost", help="report circuit costs without an image")
-    cost.add_argument("--q", type=int, required=True, help="gray depth in bits")
-    cost.add_argument("--thresholds", type=int, help="threshold count (default 2)")
+    cost.add_argument("--q", required=True, help="gray depth in bits")
+    cost.add_argument("--thresholds", help="threshold count (default 2)")
     cost.set_defaults(func=cmd_cost)
     return parser
 

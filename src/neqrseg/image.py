@@ -23,10 +23,10 @@ class ImageGray:
                 f"a 2^{self.n} x 2^{self.n} image needs {4 ** self.n} pixels, "
                 f"got {len(self.pixels)}"
             )
-        top = 1 << self.q
+        top = self.max_value
         for v in self.pixels:
-            if not 0 <= v < top:
-                raise ValueError(f"pixel value {v} does not fit in {self.q} bits")
+            if not 0 <= v <= top:
+                raise ValueError(f"pixel value {v} outside 0..{top}: does not fit in {self.q} bits")
 
     @property
     def side(self) -> int:
@@ -84,9 +84,6 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
         pixels = tuple(_plain_int(v) for v in values)
     except ValueError:
         raise ValueError("malformed pixel value") from None
-    for v in pixels:
-        if not 0 <= v <= maxval:
-            raise ValueError(f"pixel value {v} outside 0..{maxval}")
     return ImageGray((width - 1).bit_length(), q, pixels)
 
 

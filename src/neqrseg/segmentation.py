@@ -1,4 +1,4 @@
-"""Multi-threshold segmentation: classical oracle, sub-circuits and pipeline.
+"""Multi-threshold segmentation: classical oracle, stage builders and pipeline.
 
 Thresholds T_1 < ... < T_N split the gray range into N + 1 bands; band k
 (values in [T_{k-1}, T_k)) is replaced by the level g_k.  The circuit runs
@@ -12,7 +12,9 @@ from just two live comparison flags:
   * after the last comparison the lowest band is written on flag 1 (S2 form).
 
 Rewritten levels must not fall below the threshold of their lower band edge
-(validated up front), or a later comparison would reclassify them.
+(validated up front), or a later comparison would reclassify them.  Each
+stage builder appends its named stage to the circuit it is given; the band
+rewrites read that circuit's register layout.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, RegisterLayout, neg, pos
-from .comparator import ComparatorSpec, build_comparator
+from .comparator import build_comparator
 from .cost import quantum_cost
 from .image import ImageGray
 from .neqr import build_preparation
@@ -96,74 +98,56 @@ def classical_segment(image: ImageGray, config: ThresholdConfig) -> ImageGray:
     return ImageGray(image.n, image.q, tuple(band(v) for v in image.pixels))
 
 
+def _layout_of(circuit: Circuit) -> RegisterLayout:
+    if circuit.layout is None:
+        raise ValueError("the band rewrites need a circuit with a register layout")
+    return circuit.layout
+
+
 def _conditional_write(
-    circuit: Circuit,
-    layout: RegisterLayout,
-    condition: tuple[Control, ...],
-    value: int,
-    aux: int,
+    circuit: Circuit, condition: tuple[Control, ...], value: int, aux: int
 ) -> None:
     # Flip color bit k exactly when the condition holds and the bit differs
     # from the wanted value; the aux qubit breaks the control-equals-target
     # cycle and is reset after every bit.
-    q = layout.q
+    layout = circuit.layout
     for k, cq in enumerate(layout.color):
-        want = value >> (q - 1 - k) & 1
+        want = value >> (layout.q - 1 - k) & 1
         circuit.controlled_x((*condition, Control(cq, not want)), aux)
         circuit.cx(aux, cq)
         circuit.reset(aux)
 
 
-def build_s1(
-    layout: RegisterLayout,
-    level: int,
-    *,
-    stage: str = "segment-1",
-    flag: int | None = None,
-) -> Circuit:
-    """Write ``level`` into the color register wherever ``flag`` is 0."""
-    flag = layout.results[0] if flag is None else flag
-    circuit = Circuit(layout.width)
+def build_s1(circuit: Circuit, level: int, *, stage: str, flag: int) -> Circuit:
+    """Append stage ``stage``: write ``level`` to color wherever ``flag`` is 0."""
+    layout = _layout_of(circuit)
     with circuit.stage(stage, ("s1-paper", 7 * layout.q)):
-        _conditional_write(circuit, layout, (neg(flag),), level, layout.cmp_aux[0])
+        _conditional_write(circuit, (neg(flag),), level, layout.cmp_aux[0])
     return circuit
 
 
-def build_s2(
-    layout: RegisterLayout,
-    level: int,
-    *,
-    stage: str = "segment-2",
-    flag: int | None = None,
-) -> Circuit:
-    """Write ``level`` into the color register wherever ``flag`` is 1."""
-    flag = layout.results[1] if flag is None else flag
-    circuit = Circuit(layout.width)
+def build_s2(circuit: Circuit, level: int, *, stage: str, flag: int) -> Circuit:
+    """Append stage ``stage``: write ``level`` to color wherever ``flag`` is 1."""
+    layout = _layout_of(circuit)
     with circuit.stage(stage, ("s2-paper", 7 * layout.q)):
-        _conditional_write(circuit, layout, (pos(flag),), level, layout.cmp_aux[0])
+        _conditional_write(circuit, (pos(flag),), level, layout.cmp_aux[0])
     return circuit
 
 
 def build_s3(
-    layout: RegisterLayout,
-    level: int,
-    *,
-    stage: str = "segment-3",
-    upper_flag: int | None = None,
-    lower_flag: int | None = None,
+    circuit: Circuit, level: int, *, stage: str, upper_flag: int, lower_flag: int
 ) -> Circuit:
-    """Write ``level`` where ``upper_flag`` is 1 and ``lower_flag`` is 0.
+    """Append stage ``stage``: write ``level`` where ``upper_flag`` is 1 and
+    ``lower_flag`` is 0.
 
     The two-flag condition is folded into one aux qubit so the per-bit writes
     stay Toffoli sized; that aux is cleared again at the end.
     """
-    upper = layout.results[0] if upper_flag is None else upper_flag
-    lower = layout.results[1] if lower_flag is None else lower_flag
+    layout = _layout_of(circuit)
     cond_aux, bit_aux = layout.cmp_aux
-    circuit = Circuit(layout.width)
     with circuit.stage(stage, ("s3-paper", 7 * layout.q + 10)):
-        circuit.controlled_x((pos(upper), neg(lower)), cond_aux)
-        _conditional_write(circuit, layout, (pos(cond_aux),), level, bit_aux)
+        circuit.controlled_x((pos(upper_flag), neg(lower_flag)), cond_aux)
+        _conditional_write(circuit, (pos(cond_aux),), level, bit_aux)
         circuit.reset(cond_aux)
     return circuit
 
@@ -171,7 +155,8 @@ def build_s3(
 def build_pipeline(image: ImageGray, config: ThresholdConfig) -> Circuit:
     """Full circuit: preparation, then one compare/rewrite round per threshold.
 
-    The wiring is the preparation's, ``RegisterLayout(image.n, image.q)``.
+    The wiring is the preparation's, ``RegisterLayout(image.n, image.q)``,
+    and every later stage is appended to the preparation circuit in place.
 
     Stage order for two thresholds: prep, init-T-1, compare-1, segment-1 (top
     band), reset-T-1, init-T-2, compare-2, segment-2 (bottom band), segment-3
@@ -193,36 +178,16 @@ def build_pipeline(image: ImageGray, config: ThresholdConfig) -> Circuit:
             for j, tq in enumerate(layout.threshold):
                 if threshold >> (q - 1 - j) & 1:
                     circuit.x(tq)
-        circuit.extend(
-            build_comparator(
-                ComparatorSpec(
-                    a_register=layout.color,
-                    b_register=layout.threshold,
-                    aux=layout.cmp_aux,
-                    result=slot,
-                    stage_name=f"compare-{k}",
-                ),
-                width=layout.width,
-            )
+        build_comparator(
+            circuit, layout.color, layout.threshold, layout.cmp_aux, slot, stage=f"compare-{k}"
         )
         if k == 1:
-            circuit.extend(
-                build_s1(layout, config.levels[-1], stage=next(segment), flag=slot)
-            )
+            build_s1(circuit, config.levels[-1], stage=next(segment), flag=slot)
         if k == count:
-            circuit.extend(
-                build_s2(layout, config.levels[0], stage=next(segment), flag=slot)
-            )
+            build_s2(circuit, config.levels[0], stage=next(segment), flag=slot)
         if k > 1:
-            circuit.extend(
-                build_s3(
-                    layout,
-                    config.levels[count + 1 - k],
-                    stage=next(segment),
-                    upper_flag=previous_slot,
-                    lower_flag=slot,
-                )
-            )
+            level = config.levels[count + 1 - k]
+            build_s3(circuit, level, stage=next(segment), upper_flag=previous_slot, lower_flag=slot)
         if k < count:
             if k > 1:
                 with circuit.stage(f"reset-y-{k}"):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from neqrseg import (
-    ComparatorSpec,
+    Circuit,
     ImageGray,
     RegisterLayout,
     ThresholdConfig,
@@ -85,26 +85,24 @@ def test_criterion_2_comparator_exhaustive():
         from oracles import apply_to_basis
 
         for q in (1, 2, 3, 4):
-            spec = ComparatorSpec(
-                a_register=tuple(range(q)),
-                b_register=tuple(range(q, 2 * q)),
-                aux=(2 * q, 2 * q + 1),
-                result=2 * q + 2,
+            a_register, b_register = tuple(range(q)), tuple(range(q, 2 * q))
+            aux, result = (2 * q, 2 * q + 1), 2 * q + 2
+            circuit = build_comparator(
+                Circuit(2 * q + 3), a_register, b_register, aux, result
             )
-            circuit = build_comparator(spec)
             for a in range(1 << q):
                 for b in range(1 << q):
-                    state = insert_bits(0, spec.a_register, a)
-                    state = insert_bits(state, spec.b_register, b)
+                    state = insert_bits(0, a_register, a)
+                    state = insert_bits(state, b_register, b)
                     for op in circuit.ops:
                         if op.kind.value == "reset":
                             state &= ~(1 << op.target)
                         else:
                             state = apply_to_basis(op, state)
-                    assert extract_bits(state, spec.a_register) == a
-                    assert extract_bits(state, spec.b_register) == b
-                    assert extract_bits(state, spec.aux) == 0
-                    assert extract_bits(state, (spec.result,)) == int(a < b)
+                    assert extract_bits(state, a_register) == a
+                    assert extract_bits(state, b_register) == b
+                    assert extract_bits(state, aux) == 0
+                    assert extract_bits(state, (result,)) == int(a < b)
 
     check(2, "comparator truth table exhaustive for q = 1..4, operands "
              "restored, aux cleaned", body, budget=5.0)

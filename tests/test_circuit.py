@@ -63,6 +63,25 @@ def test_stage_bookkeeping():
         c.stage_named("missing")
 
 
+def test_stage_that_raises_is_rolled_back():
+    c = Circuit(3)
+    with c.stage("prep"):
+        c.h(0)
+    c.x(1)
+    before_ops, before_stages = list(c.ops), list(c.stages)
+    with pytest.raises(RuntimeError, match="boom"):
+        with c.stage("work", ("demo", 2)):
+            c.x(2).cx(0, 1)
+            raise RuntimeError("boom")
+    assert c.ops == before_ops
+    assert c.stages == before_stages
+    # the stage is closed and its name still free
+    with c.stage("work"):
+        c.x(2)
+    assert c.stage_names() == ["prep", "work"]
+    assert c.stage_named("work").start == 2
+
+
 def test_stage_reopen_and_nesting_rejected():
     c = Circuit(2)
     with c.stage("a"):

@@ -194,6 +194,15 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
         (["--t", "2,\u0663"], "use decimal or 0b binary"),
         (["--t-low", "0b1_0", "--t-high", "4"], "use decimal or 0b binary"),
         (["--t", "2,4", "--levels", "0,+4,7"], "use decimal or 0b binary"),
+        # int() takes each of these; integer options are ASCII digits only
+        (["--t", "2,4", "--backend", "statevector", "--shots", "0"], "--shots must be at least 1"),
+        (["--t", "2,4", "--backend", "statevector", "--seed", "-1"], "--seed must be non-negative"),
+        (["--t", "2,4", "--backend", "statevector", "--shots", "\u0661\u0660"], "--shots takes ASCII digits"),
+        (["--t", "2,4", "--backend", "statevector", "--shots", "1_0"], "--shots takes ASCII digits"),
+        (["--t", "2,4", "--backend", "statevector", "--shots", "+5"], "--shots takes ASCII digits"),
+        (["--t", "2,4", "--backend", "statevector", "--seed", "1_0"], "--seed takes ASCII digits"),
+        (["--t", "2,4", "--backend", "statevector", "--seed", "-\u0661"], "--seed takes ASCII digits"),
+        (["--t", "2,4", "--seed", "\uff11"], "--seed takes ASCII digits"),
     ],
 )
 def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
@@ -204,6 +213,26 @@ def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
     assert err.startswith("error:")
     assert fragment in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["--q", "0"], "--q must be at least 1"),
+        (["--q", "-1"], "--q must be at least 1"),
+        (["--q", "+3"], "--q takes ASCII digits"),
+        (["--q", "\u0663"], "--q takes ASCII digits"),
+        (["--q", "1_0"], "--q takes ASCII digits"),
+        (["--q", "3", "--thresholds", "+2"], "--thresholds takes ASCII digits"),
+        (["--q", "3", "--thresholds", "\uff12"], "--thresholds takes ASCII digits"),
+    ],
+)
+def test_cost_bad_arguments(capsys, argv, fragment):
+    assert run_cli("cost", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert fragment in captured.err
+    assert captured.out == ""
 
 
 def test_value_lists_take_ascii_decimal_or_binary():

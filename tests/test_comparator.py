@@ -4,7 +4,6 @@ import pytest
 
 from neqrseg import (
     Circuit,
-    ComparatorSpec,
     ImageGray,
     RegisterLayout,
     ThresholdConfig,
@@ -16,13 +15,13 @@ from neqrseg import (
 from oracles import apply_to_basis, extract_bits, insert_bits
 
 
-def default_spec(q):
-    return ComparatorSpec(
-        a_register=tuple(range(q)),
-        b_register=tuple(range(q, 2 * q)),
-        aux=(2 * q, 2 * q + 1),
-        result=2 * q + 2,
-    )
+def default_wires(q):
+    """Operands a and b (MSB first), the aux pair and the result, from wire 0 up."""
+    return tuple(range(q)), tuple(range(q, 2 * q)), (2 * q, 2 * q + 1), 2 * q + 2
+
+
+def default_comparator(q):
+    return build_comparator(Circuit(2 * q + 3), *default_wires(q))
 
 
 def evaluate(circuit, assignment):
@@ -36,34 +35,34 @@ def evaluate(circuit, assignment):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_comparator_truth_table_exhaustive(q):
-    spec = default_spec(q)
-    circuit = build_comparator(spec)
+    a, b, aux, y = default_wires(q)
+    circuit = default_comparator(q)
     for a_val, b_val in itertools.product(range(1 << q), repeat=2):
-        start = insert_bits(0, spec.a_register, a_val)
-        start = insert_bits(start, spec.b_register, b_val)
+        start = insert_bits(0, a, a_val)
+        start = insert_bits(start, b, b_val)
         end = evaluate(circuit, start)
-        assert extract_bits(end, spec.a_register) == a_val, (a_val, b_val)
-        assert extract_bits(end, spec.b_register) == b_val, (a_val, b_val)
-        assert extract_bits(end, spec.aux) == 0, (a_val, b_val)
-        assert extract_bits(end, (spec.result,)) == int(a_val < b_val), (a_val, b_val)
+        assert extract_bits(end, a) == a_val, (a_val, b_val)
+        assert extract_bits(end, b) == b_val, (a_val, b_val)
+        assert extract_bits(end, aux) == 0, (a_val, b_val)
+        assert extract_bits(end, (y,)) == int(a_val < b_val), (a_val, b_val)
 
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_result_qubit_is_xored_not_overwritten(q):
-    spec = default_spec(q)
-    circuit = build_comparator(spec)
-    start = insert_bits(0, spec.a_register, 1)  # a=1, b=0 -> predicate false
-    start = insert_bits(start, (spec.result,), 1)
+    a, b, aux, y = default_wires(q)
+    circuit = default_comparator(q)
+    start = insert_bits(0, a, 1)  # a=1, b=0 -> predicate false
+    start = insert_bits(start, (y,), 1)
     end = evaluate(circuit, start)
-    assert extract_bits(end, (spec.result,)) == 1
+    assert extract_bits(end, (y,)) == 1
 
 
 def test_ties_never_set_the_flag():
-    spec = default_spec(3)
-    circuit = build_comparator(spec)
+    a, b, aux, y = default_wires(3)
+    circuit = default_comparator(3)
     for v in range(8):
-        start = insert_bits(insert_bits(0, spec.a_register, v), spec.b_register, v)
-        assert extract_bits(evaluate(circuit, start), (spec.result,)) == 0
+        start = insert_bits(insert_bits(0, a, v), b, v)
+        assert extract_bits(evaluate(circuit, start), (y,)) == 0
 
 
 def test_comparator_in_superposition():
@@ -75,13 +74,9 @@ def test_comparator_in_superposition():
     for k, qb in enumerate(layout.threshold):
         if threshold >> (layout.q - 1 - k) & 1:
             circuit.x(qb)
-    spec = ComparatorSpec(
-        a_register=layout.color,
-        b_register=layout.threshold,
-        aux=layout.cmp_aux,
-        result=layout.results[0],
+    build_comparator(
+        circuit, layout.color, layout.threshold, layout.cmp_aux, layout.results[0]
     )
-    circuit.extend(build_comparator(spec, layout.width))
     for branch in run_tracked(circuit).branches:
         color = layout.color_value(int(branch))
         flag = extract_bits(int(branch), (layout.results[0],))
@@ -99,25 +94,41 @@ def test_formula_values():
 
 
 def test_formula_registered_on_stage():
-    circuit = build_comparator(default_spec(2))
+    circuit = default_comparator(2)
     assert circuit.stage_named("compare").quoted == ("comparator-paper", 23)
 
 
 def test_spec_validation():
+    host = Circuit(6)
     with pytest.raises(ValueError, match="overlap"):
-        ComparatorSpec(a_register=(0,), b_register=(0,), aux=(1, 2), result=3)
+        build_comparator(host, (0,), (0,), (1, 2), 3)
     with pytest.raises(ValueError, match="equal size"):
-        ComparatorSpec(a_register=(0, 1), b_register=(2,), aux=(3, 4), result=5)
+        build_comparator(host, (0, 1), (2,), (3, 4), 5)
     with pytest.raises(ValueError, match="q must be"):
-        ComparatorSpec(a_register=(), b_register=(), aux=(0, 1), result=2)
+        build_comparator(host, (), (), (0, 1), 2)
     with pytest.raises(ValueError, match="two aux"):
-        ComparatorSpec(a_register=(0,), b_register=(1,), aux=(2,), result=3)
+        build_comparator(host, (0,), (1,), (2,), 3)
+    assert host.ops == [] and host.stages == []
 
 
 def test_custom_stage_name_and_width():
-    spec = ComparatorSpec(
-        a_register=(0,), b_register=(1,), aux=(2, 3), result=4, stage_name="cmp-x"
-    )
-    circuit = build_comparator(spec, width=9)
+    host = Circuit(9)
+    circuit = build_comparator(host, (0,), (1,), (2, 3), 4, stage="cmp-x")
+    assert circuit is host
     assert circuit.width == 9
     assert circuit.stage_names() == ["cmp-x"]
+
+
+def test_comparator_on_a_too_narrow_host_leaves_it_unchanged():
+    host = Circuit(8)
+    with host.stage("prep"):
+        host.x(0)
+    before_ops, before_stages = list(host.ops), list(host.stages)
+    # the aux wire 8 lies outside: four gates are appended before it is hit
+    with pytest.raises(ValueError, match="q8 outside circuit of width 8"):
+        build_comparator(host, (0, 1, 2), (3, 4, 5), (6, 8), 7)
+    assert host.ops == before_ops
+    assert host.stages == before_stages
+    # the host stays usable, and the stage name is still free
+    build_comparator(host, (0,), (1,), (2, 3), 4)
+    assert host.stage_names() == ["prep", "compare"]

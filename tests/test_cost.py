@@ -4,7 +4,6 @@ import pytest
 
 from neqrseg import (
     Circuit,
-    ComparatorSpec,
     build_comparator,
     neg,
     parse_circuit_text,
@@ -88,10 +87,8 @@ def test_mcx_weight_schedule():
 
 
 def test_comparator_cost_q3():
-    spec = ComparatorSpec(
-        a_register=(0, 1, 2), b_register=(3, 4, 5), aux=(6, 7), result=8
-    )
-    ledger = quantum_cost(build_comparator(spec))
+    comparator = build_comparator(Circuit(9), (0, 1, 2), (3, 4, 5), (6, 7), 8)
+    ledger = quantum_cost(comparator)
     counts = ledger.stages["compare"]
     assert counts.toffoli == 6
     assert counts.cnot == 5

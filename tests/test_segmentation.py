@@ -98,7 +98,7 @@ def test_classical_segment_q_mismatch():
         classical_segment(ImageGray(1, 2, (0, 1, 2, 3)), cfg)
 
 
-# ------------------------------------------------------- band sub-circuits
+# ------------------------------------------------------- band rewrite stages
 
 
 def evaluate(circuit, assignment):
@@ -113,6 +113,10 @@ def evaluate(circuit, assignment):
 LAYOUT = RegisterLayout(1, 3)
 
 
+def host():
+    return Circuit(LAYOUT.width, LAYOUT)
+
+
 def _start(color, flags):
     state = insert_bits(0, LAYOUT.color, color)
     for qb, bit in flags.items():
@@ -122,10 +126,10 @@ def _start(color, flags):
 
 @pytest.mark.parametrize("level", [0, 3, 5, 7])
 def test_s1_rewrites_only_flag_zero(level):
-    frag = build_s1(LAYOUT, level)
     flag = LAYOUT.results[0]
+    circuit = build_s1(host(), level, stage="segment-1", flag=flag)
     for color, bit in itertools.product(range(8), (0, 1)):
-        end = evaluate(frag, _start(color, {flag: bit}))
+        end = evaluate(circuit, _start(color, {flag: bit}))
         expected = color if bit else level
         assert extract_bits(end, LAYOUT.color) == expected
         assert extract_bits(end, (flag,)) == bit
@@ -134,10 +138,10 @@ def test_s1_rewrites_only_flag_zero(level):
 
 @pytest.mark.parametrize("level", [0, 3, 5, 7])
 def test_s2_rewrites_only_flag_one(level):
-    frag = build_s2(LAYOUT, level)
     flag = LAYOUT.results[1]
+    circuit = build_s2(host(), level, stage="segment-2", flag=flag)
     for color, bit in itertools.product(range(8), (0, 1)):
-        end = evaluate(frag, _start(color, {flag: bit}))
+        end = evaluate(circuit, _start(color, {flag: bit}))
         expected = level if bit else color
         assert extract_bits(end, LAYOUT.color) == expected
         assert extract_bits(end, (flag,)) == bit
@@ -146,10 +150,12 @@ def test_s2_rewrites_only_flag_one(level):
 
 @pytest.mark.parametrize("level", [0, 3, 5, 7])
 def test_s3_rewrites_only_upper_and_not_lower(level):
-    frag = build_s3(LAYOUT, level)
     upper, lower = LAYOUT.results
+    circuit = build_s3(
+        host(), level, stage="segment-3", upper_flag=upper, lower_flag=lower
+    )
     for color, ub, lb in itertools.product(range(8), (0, 1), (0, 1)):
-        end = evaluate(frag, _start(color, {upper: ub, lower: lb}))
+        end = evaluate(circuit, _start(color, {upper: ub, lower: lb}))
         expected = level if (ub, lb) == (1, 0) else color
         assert extract_bits(end, LAYOUT.color) == expected
         assert extract_bits(end, (upper,)) == ub
@@ -158,17 +164,36 @@ def test_s3_rewrites_only_upper_and_not_lower(level):
 
 
 def test_band_circuit_formula_registrations():
-    assert build_s1(LAYOUT, 1).stage_named("segment-1").quoted == ("s1-paper", 21)
-    assert build_s2(LAYOUT, 1).stage_named("segment-2").quoted == ("s2-paper", 21)
-    assert build_s3(LAYOUT, 1).stage_named("segment-3").quoted == ("s3-paper", 31)
+    y0, y1 = LAYOUT.results
+    s1 = build_s1(host(), 1, stage="segment-1", flag=y0)
+    s2 = build_s2(host(), 1, stage="segment-2", flag=y1)
+    s3 = build_s3(host(), 1, stage="segment-3", upper_flag=y0, lower_flag=y1)
+    assert s1.stage_named("segment-1").quoted == ("s1-paper", 21)
+    assert s2.stage_named("segment-2").quoted == ("s2-paper", 21)
+    assert s3.stage_named("segment-3").quoted == ("s3-paper", 31)
 
 
 def test_band_circuit_flag_overrides():
-    frag = build_s1(LAYOUT, 5, flag=LAYOUT.results[1], stage="alt")
     flag = LAYOUT.results[1]
-    end = evaluate(frag, _start(0, {flag: 0}))
+    circuit = build_s1(host(), 5, flag=flag, stage="alt")
+    end = evaluate(circuit, _start(0, {flag: 0}))
     assert extract_bits(end, LAYOUT.color) == 5
-    assert frag.stage_names() == ["alt"]
+    assert circuit.stage_names() == ["alt"]
+
+
+@pytest.mark.parametrize(
+    "build,flags",
+    [
+        (build_s1, {"flag": 0}),
+        (build_s2, {"flag": 0}),
+        (build_s3, {"upper_flag": 0, "lower_flag": 1}),
+    ],
+)
+def test_band_builders_refuse_a_circuit_without_layout(build, flags):
+    bare = Circuit(LAYOUT.width)
+    with pytest.raises(ValueError, match="register layout"):
+        build(bare, 1, stage="segment", **flags)
+    assert bare.ops == [] and bare.stages == []
 
 
 # ---------------------------------------------------------------- pipeline
