@@ -284,6 +284,8 @@ class Circuit:
         cover them, or unstaged when ``stage`` is None.  Every copy of a
         circuit's spans (``extend``, ``subcircuit``, lowering) goes through here.
         """
+        if self._open_stage is not None:
+            raise ValueError(f"stage {self._open_stage!r} is still open")
         if stage is not None and stage.name in self.stage_names():
             raise ValueError(f"duplicate stage name {stage.name!r}")
         start = len(self.ops)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .circuit import RegisterLayout
 from .cost import quantum_cost
-from .image import ImageGray, _plain_int, read_image_pgm, write_image_pgm
+from .image import ImageGray, read_image_pgm, write_image_pgm
 from .qasm import MAX_QREG_WIDTH, export_circuit_text
 from .segmentation import (
     ThresholdConfig,
@@ -23,41 +23,33 @@ from .tracked import assert_no_collision, check_tracked_width, run_tracked
 from .neqr import decode
 
 COST_SCHEMA = 2
+_MAX_DIGITS = 4300  # int() refuses a longer decimal string
+_DECIMAL = rf"[0-9]{{1,{_MAX_DIGITS}}}"  # int() alone also takes a sign, "_" and any Unicode digit
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted, cut to 20 characters so an error stays one short line."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} chars)"
 
 
 def _parse_value_list(text: str, what: str) -> list[int]:
     values = []
     for token in text.split(","):
         token = token.strip()
-        # int() alone takes a sign, "_" and any Unicode digit; it refuses 4301+ digits
-        if not re.fullmatch(r"[0-9]{1,4300}|0[bB][01]+", token):
-            raise ValueError(f"bad {what} {token!r}: use decimal or 0b binary")
+        if not re.fullmatch(rf"{_DECIMAL}|0[bB][01]+", token):
+            raise ValueError(
+                f"bad {what} {_shown(token)}: use decimal or 0b binary; "
+                f"decimal takes at most {_MAX_DIGITS} digits"
+            )
         values.append(int(token, 2 if token.lower().startswith("0b") else 10))
     return values
 
 
 def _int_option(text: str, option: str) -> int:
     """An integer option's value in ASCII digits; a leading '-' reaches the range checks."""
-    try:
-        return -_plain_int(text[1:]) if text[:1] == "-" else _plain_int(text)
-    except ValueError:
-        raise ValueError(f"{option} takes ASCII digits, got {text!r}") from None
-
-
-def _thresholds_from_args(args: argparse.Namespace) -> list[int]:
-    pair = [v for v in (args.t_low, args.t_high) if v is not None]
-    if args.t is not None and pair:
-        raise ValueError("give either --t or --t-low/--t-high, not both")
-    if args.t is not None:
-        return _parse_value_list(args.t, "threshold")
-    if args.t_low is not None and args.t_high is not None:
-        return (
-            _parse_value_list(args.t_low, "threshold")
-            + _parse_value_list(args.t_high, "threshold")
-        )
-    if pair:
-        raise ValueError("--t-low and --t-high must be given together")
-    raise ValueError("thresholds required: pass --t or --t-low/--t-high")
+    if not re.fullmatch(rf"-?{_DECIMAL}", text):
+        raise ValueError(f"{option} takes ASCII digits (at most {_MAX_DIGITS}), got {_shown(text)}")
+    return int(text)
 
 
 def _cost_payload(circuit, q: int, threshold_count: int) -> dict:
@@ -128,7 +120,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     image = read_image_pgm(data)
     # Both backends stop at int64 basis indices; refuse before building.
     check_tracked_width(RegisterLayout(image.n, image.q).width)
-    thresholds = _thresholds_from_args(args)
+    if args.t is None:
+        raise ValueError("thresholds required: pass --t")
+    thresholds = _parse_value_list(args.t, "threshold")
     if args.levels is not None:
         config = ThresholdConfig(
             image.q, tuple(thresholds), tuple(_parse_value_list(args.levels, "level"))
@@ -195,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     seg = sub.add_parser("segment", help="segment a PGM image")
     seg.add_argument("--input", required=True, help="input PGM (P2) file")
     seg.add_argument("--t", help="comma-separated thresholds (decimal or 0b binary)")
-    seg.add_argument("--t-low", help="low threshold (alternative to --t)")
-    seg.add_argument("--t-high", help="high threshold (alternative to --t)")
     seg.add_argument("--levels", help="comma-separated replacement levels")
     seg.add_argument(
         "--backend",

@@ -23,13 +23,7 @@ def comparator_formula_cost(q: int) -> int:
 
 
 def build_comparator(
-    circuit: Circuit,
-    a: Sequence[int],
-    b: Sequence[int],
-    aux: Sequence[int],
-    y: int,
-    *,
-    stage: str = "compare",
+    circuit: Circuit, a: Sequence[int], b: Sequence[int], aux: Sequence[int], y: int, *, stage: str
 ) -> Circuit:
     """Append stage ``stage`` computing ``y ^= [a < b]`` to ``circuit``.
 

@@ -16,8 +16,7 @@ renormalised.  Each node draws from its own PCG64 stream derived from
 (seed, path of outcomes), so a seed fixes the result byte for byte.
 :func:`sample_shots` gives each leaf one multinomial draw over its support
 in basis-index order; :func:`run` walks with one shot and returns the one
-leaf's support.  The law is that of independent trajectories, but a seed's
-outcomes differ from releases that drew from a single ``default_rng(seed)``.
+leaf's support.  The law is that of independent trajectories.
 """
 from __future__ import annotations
 

@@ -88,7 +88,7 @@ def test_criterion_2_comparator_exhaustive():
             a_register, b_register = tuple(range(q)), tuple(range(q, 2 * q))
             aux, result = (2 * q, 2 * q + 1), 2 * q + 2
             circuit = build_comparator(
-                Circuit(2 * q + 3), a_register, b_register, aux, result
+                Circuit(2 * q + 3), a_register, b_register, aux, result, stage="compare"
             )
             for a in range(1 << q):
                 for b in range(1 << q):

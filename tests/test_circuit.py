@@ -82,6 +82,21 @@ def test_stage_that_raises_is_rolled_back():
     assert c.stage_named("work").start == 2
 
 
+def test_append_span_refuses_an_open_stage():
+    c = Circuit(2)
+    with pytest.raises(RuntimeError, match="boom"):
+        with c.stage("a"):
+            with pytest.raises(ValueError, match="stage 'a' is still open"):
+                c.append_span(Stage("b", 0, 0), [GateOp(GateKind.X, 0)])
+            with pytest.raises(ValueError, match="stage 'a' is still open"):
+                c.append_span(None, [GateOp(GateKind.X, 0)])
+            raise RuntimeError("boom")
+    assert c.ops == [] and c.stages == [] and list(c.spans()) == []
+    # once the stage is closed the span goes in
+    c.append_span(Stage("b", 0, 0), [GateOp(GateKind.X, 0)])
+    assert c.stages == [Stage("b", 0, 1)]
+
+
 def test_stage_reopen_and_nesting_rejected():
     c = Circuit(2)
     with c.stage("a"):

@@ -16,7 +16,7 @@ from neqrseg import (
     reference_pipeline,
     write_image_pgm,
 )
-from neqrseg.cli import _majority_image, _parse_value_list, main
+from neqrseg.cli import _int_option, _majority_image, _parse_value_list, main
 from neqrseg.statevector import ShotRecord
 from conftest import SEGMENTED_4X4
 
@@ -51,8 +51,6 @@ def test_threshold_spellings_agree(tmp_path, sample_pgm):
         [
             ["--t", "2,4"],
             ["--t", "0b010,0b100"],
-            ["--t-low", "2", "--t-high", "4"],
-            ["--t-low", "0b010", "--t-high", "0b100"],
         ]
     ):
         out = tmp_path / f"out{i}.pgm"
@@ -182,8 +180,9 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
     "argv,fragment",
     [
         (["--t", "9,4"], "thresholds must"),
-        (["--t", "2,4", "--t-low", "1"], "not both"),
-        (["--t-low", "2"], "together"),
+        # ASCII digits past int()'s 4300-digit limit: the limit is named, the value cut short
+        (["--t", "1" * 5000], "use decimal or 0b binary; decimal takes at most 4300 digits"),
+        (["--t", "2,4", "--levels", "0,4," + "7" * 4301], "'77777777777777777777'... (4301 chars)"),
         ([], "thresholds required"),
         (["--t", "1,x"], "use decimal or 0b binary"),
         (["--t", "2,4", "--levels", "0,4"], "levels"),
@@ -192,7 +191,7 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
         (["--t", "+2,4"], "use decimal or 0b binary"),
         (["--t", "2,1_0"], "use decimal or 0b binary"),
         (["--t", "2,\u0663"], "use decimal or 0b binary"),
-        (["--t-low", "0b1_0", "--t-high", "4"], "use decimal or 0b binary"),
+        (["--t", "0b1_0,4"], "use decimal or 0b binary"),
         (["--t", "2,4", "--levels", "0,+4,7"], "use decimal or 0b binary"),
         # int() takes each of these; integer options are ASCII digits only
         (["--t", "2,4", "--backend", "statevector", "--shots", "0"], "--shots must be at least 1"),
@@ -203,6 +202,9 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
         (["--t", "2,4", "--backend", "statevector", "--seed", "1_0"], "--seed takes ASCII digits"),
         (["--t", "2,4", "--backend", "statevector", "--seed", "-\u0661"], "--seed takes ASCII digits"),
         (["--t", "2,4", "--seed", "\uff11"], "--seed takes ASCII digits"),
+        # and past the 4300-digit limit
+        (["--t", "2,4", "--backend", "statevector", "--seed", "9" * 5000], "--seed takes ASCII digits (at most 4300)"),
+        (["--t", "2,4", "--backend", "statevector", "--shots", "9" * 5000], "--shots takes ASCII digits (at most 4300)"),
     ],
 )
 def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
@@ -212,6 +214,18 @@ def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+    assert len(err.encode()) < 200
+    assert not out.exists()
+
+
+def test_t_is_the_only_threshold_option(tmp_path, sample_pgm, capsys):
+    out = tmp_path / "out.pgm"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("segment", "--input", sample_pgm, "--t-low", "2", "--t-high", "4", "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t-low" in capsys.readouterr().err
+    assert run_cli("segment", "--input", sample_pgm, "--out", out) == 1
+    assert capsys.readouterr().err == "error: thresholds required: pass --t\n"
     assert not out.exists()
 
 
@@ -225,6 +239,8 @@ def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):
         (["--q", "1_0"], "--q takes ASCII digits"),
         (["--q", "3", "--thresholds", "+2"], "--thresholds takes ASCII digits"),
         (["--q", "3", "--thresholds", "\uff12"], "--thresholds takes ASCII digits"),
+        (["--q", "1" * 5000], "--q takes ASCII digits (at most 4300), got '11111111111111111111'..."),
+        (["--q", "3", "--thresholds", "9" * 5000], "--thresholds takes ASCII digits (at most 4300)"),
     ],
 )
 def test_cost_bad_arguments(capsys, argv, fragment):
@@ -232,11 +248,18 @@ def test_cost_bad_arguments(capsys, argv, fragment):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert fragment in captured.err
+    assert len(captured.err.encode()) < 200
     assert captured.out == ""
 
 
 def test_value_lists_take_ascii_decimal_or_binary():
     assert _parse_value_list(" 5, 0b101,0B11 ,007", "threshold") == [5, 5, 3, 7]
+
+
+def test_integers_take_up_to_4300_digits():
+    assert _parse_value_list("1" * 4300, "level") == [int("1" * 4300)]
+    assert _int_option("9" * 4300, "--seed") == int("9" * 4300)
+    assert _int_option("-" + "9" * 4300, "--seed") == -int("9" * 4300)
 
 
 def test_missing_input_file(tmp_path, capsys):

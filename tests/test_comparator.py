@@ -21,7 +21,7 @@ def default_wires(q):
 
 
 def default_comparator(q):
-    return build_comparator(Circuit(2 * q + 3), *default_wires(q))
+    return build_comparator(Circuit(2 * q + 3), *default_wires(q), stage="compare")
 
 
 def evaluate(circuit, assignment):
@@ -75,7 +75,7 @@ def test_comparator_in_superposition():
         if threshold >> (layout.q - 1 - k) & 1:
             circuit.x(qb)
     build_comparator(
-        circuit, layout.color, layout.threshold, layout.cmp_aux, layout.results[0]
+        circuit, layout.color, layout.threshold, layout.cmp_aux, layout.results[0], stage="compare"
     )
     for branch in run_tracked(circuit).branches:
         color = layout.color_value(int(branch))
@@ -101,13 +101,13 @@ def test_formula_registered_on_stage():
 def test_spec_validation():
     host = Circuit(6)
     with pytest.raises(ValueError, match="overlap"):
-        build_comparator(host, (0,), (0,), (1, 2), 3)
+        build_comparator(host, (0,), (0,), (1, 2), 3, stage="compare")
     with pytest.raises(ValueError, match="equal size"):
-        build_comparator(host, (0, 1), (2,), (3, 4), 5)
+        build_comparator(host, (0, 1), (2,), (3, 4), 5, stage="compare")
     with pytest.raises(ValueError, match="q must be"):
-        build_comparator(host, (), (), (0, 1), 2)
+        build_comparator(host, (), (), (0, 1), 2, stage="compare")
     with pytest.raises(ValueError, match="two aux"):
-        build_comparator(host, (0,), (1,), (2,), 3)
+        build_comparator(host, (0,), (1,), (2,), 3, stage="compare")
     assert host.ops == [] and host.stages == []
 
 
@@ -126,9 +126,9 @@ def test_comparator_on_a_too_narrow_host_leaves_it_unchanged():
     before_ops, before_stages = list(host.ops), list(host.stages)
     # the aux wire 8 lies outside: four gates are appended before it is hit
     with pytest.raises(ValueError, match="q8 outside circuit of width 8"):
-        build_comparator(host, (0, 1, 2), (3, 4, 5), (6, 8), 7)
+        build_comparator(host, (0, 1, 2), (3, 4, 5), (6, 8), 7, stage="compare")
     assert host.ops == before_ops
     assert host.stages == before_stages
     # the host stays usable, and the stage name is still free
-    build_comparator(host, (0,), (1,), (2, 3), 4)
+    build_comparator(host, (0,), (1,), (2, 3), 4, stage="compare")
     assert host.stage_names() == ["prep", "compare"]

@@ -87,7 +87,7 @@ def test_mcx_weight_schedule():
 
 
 def test_comparator_cost_q3():
-    comparator = build_comparator(Circuit(9), (0, 1, 2), (3, 4, 5), (6, 7), 8)
+    comparator = build_comparator(Circuit(9), (0, 1, 2), (3, 4, 5), (6, 7), 8, stage="compare")
     ledger = quantum_cost(comparator)
     counts = ledger.stages["compare"]
     assert counts.toffoli == 6
