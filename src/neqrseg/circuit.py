@@ -9,7 +9,9 @@ in the low wires, then color, threshold, comparator aux and the result pair.
 Its register tuples list qubit indices most significant bit first, so
 ``color[0]`` is the high bit of the gray value.  Stages are named,
 contiguous, non-overlapping spans of the op list; every other op lies in an
-unstaged gap, and ``Circuit.spans`` walks stages and gaps in order.  Stages
+unstaged gap, and ``Circuit.spans`` walks stages and gaps in order.  A
+circuit may hold an image as its first stage, ``prep``: the pixel array
+stands for the stage's ops, which ``Circuit.ops`` makes on demand.  Stages
 and their quoted costs drive cost accounting and survive text export/parse
 round trips, which is why a stage name must be non-empty and free of
 whitespace, a quoted formula name free of ``=`` as well, and a quoted value
@@ -20,10 +22,18 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 # The NEQR preparation stage: the only stage that may hold H, and never costed.
 PREP_STAGE = "prep"
+
+
+def popcounts(values: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits among the low ``bits`` of each non-negative int64."""
+    return sum((values >> b & 1 for b in range(min(bits, 63))), np.zeros_like(values))
 
 
 class GateKind(Enum):
@@ -169,10 +179,15 @@ class Circuit:
 
     Builder methods return ``self`` so construction chains.  Stages must be
     closed before the circuit is composed or exported; a stage may carry its
-    quoted closed-form cost, given when it is opened.
+    quoted closed-form cost, given when it is opened.  ``pixels``, one q-bit
+    gray value per label, makes the circuit hold that image as stage prep:
+    ``held`` ops, 2n Hs and one X per set color bit, that are never stored.
+    ``gates`` stores every op appended, after them.
     """
 
-    def __init__(self, width: int, layout: RegisterLayout | None = None):
+    def __init__(
+        self, width: int, layout: RegisterLayout | None = None, pixels: Sequence[int] | None = None
+    ):
         if width < 1:
             raise ValueError("circuit width must be at least 1")
         if layout is not None and layout.width != width:
@@ -181,13 +196,51 @@ class Circuit:
             )
         self.width = width
         self.layout = layout
-        self.ops: list[GateOp] = []
+        self.gates: list[GateOp] = []  # the stored ops, after any held prep
         self.stages: list[Stage] = []
         self._open_stage: str | None = None
         self._open_start = 0
+        self.pixels: np.ndarray | None = None
+        self.held = 0  # the held prep's op count
+        if pixels is not None:
+            try:
+                px = np.array(pixels, dtype=np.int64)
+            except OverflowError:
+                raise ValueError("pixel values past 63 bits cannot be held") from None
+            fits = layout is not None and len(px) == 4**layout.n
+            if not fits or px.min() < 0 or int(px.max()) >> layout.q:
+                raise ValueError("a held image needs a layout and one q-bit pixel per position")
+            px.flags.writeable = False
+            self.pixels, self.held = px, 2 * layout.n + int(popcounts(px, layout.q).sum())
+            self.stages.append(Stage(PREP_STAGE, 0, self.held))
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return self.held + len(self.gates)
+
+    @property
+    def ops(self) -> list[GateOp]:
+        """Every op: the stored list itself, or with an image held, a new
+        list of its prep's ops, made here, and then the stored ones."""
+        return self.gates if self.pixels is None else [*self._prep_ops(), *self.gates]
+
+    def _prep_ops(self) -> Iterator[GateOp]:
+        # H on every position wire, then one X per set color bit of each
+        # pixel (bit j on wire 2n + j), its controls spelling out the label.
+        layout, p = self.layout, 2 * self.layout.n
+        for qb in layout.position:
+            yield GateOp(GateKind.H, qb)
+        polarities = [(qb, (Control(qb, False), Control(qb, True))) for qb in layout.position]
+        for label, value in enumerate(self.pixels.tolist()):
+            controls = tuple(pair[label >> qb & 1] for qb, pair in polarities)
+            for cq in layout.color:
+                if value >> (cq - p) & 1:
+                    yield GateOp(GateKind.X, cq, controls)
+
+    def span_ops(self, start: int, stop: int) -> Iterable[GateOp]:
+        """The ops of one of ``spans()``; a held prep's are made as read."""
+        if start < self.held:
+            return islice(self._prep_ops(), start, stop)
+        return self.gates[start - self.held : stop - self.held]
 
     # -- construction ------------------------------------------------------
 
@@ -195,7 +248,7 @@ class Circuit:
         if (op.mask | 1 << op.target) >> self.width:
             qb = next(qb for qb in op.qubits if qb >= self.width)
             raise ValueError(f"qubit q{qb} outside circuit of width {self.width}")
-        self.ops.append(op)
+        self.gates.append(op)
         return self
 
     def h(self, target: int) -> "Circuit":
@@ -243,15 +296,15 @@ class Circuit:
         if any(s.name == name for s in self.stages):
             raise ValueError(f"duplicate stage name {name!r}")
         self._open_stage = name
-        self._open_start = len(self.ops)
+        self._open_start = len(self)
         try:
             yield self
         except BaseException:
-            del self.ops[self._open_start :]
+            del self.gates[self._open_start - self.held :]
             self._open_stage = None
             raise
         else:
-            self.stages.append(Stage(name, self._open_start, len(self.ops), quoted))
+            self.stages.append(Stage(name, self._open_start, len(self), quoted))
             self._open_stage = None
 
     def stage_named(self, name: str) -> Stage:
@@ -276,8 +329,8 @@ class Circuit:
                 yield None, at, s.start
             yield s, s.start, s.stop
             at = s.stop
-        if at < len(self.ops):
-            yield None, at, len(self.ops)
+        if at < len(self):
+            yield None, at, len(self)
 
     def append_span(self, stage: Stage | None, ops: Iterable[GateOp]) -> "Circuit":
         """Append ``ops``, unchecked, under a copy of ``stage`` re-offset to
@@ -288,10 +341,10 @@ class Circuit:
             raise ValueError(f"stage {self._open_stage!r} is still open")
         if stage is not None and stage.name in self.stage_names():
             raise ValueError(f"duplicate stage name {stage.name!r}")
-        start = len(self.ops)
-        self.ops.extend(ops)
+        start = len(self)
+        self.gates.extend(ops)
         if stage is not None:
-            self.stages.append(replace(stage, start=start, stop=len(self.ops)))
+            self.stages.append(replace(stage, start=start, stop=len(self)))
         return self
 
     def subcircuit(self, names: Iterable[str]) -> "Circuit":
@@ -299,7 +352,7 @@ class Circuit:
         sub = Circuit(self.width, self.layout)
         for name in names:
             s = self.stage_named(name)
-            sub.append_span(s, self.ops[s.start : s.stop])
+            sub.append_span(s, self.span_ops(s.start, s.stop))
         return sub
 
     def extend(self, other: "Circuit") -> "Circuit":
@@ -313,5 +366,5 @@ class Circuit:
             if s.name in mine:
                 raise ValueError(f"duplicate stage name {s.name!r}")
         for s, start, stop in other.spans():
-            self.append_span(s, other.ops[start:stop])
+            self.append_span(s, other.span_ops(start, stop))
         return self

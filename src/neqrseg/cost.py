@@ -15,7 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .circuit import PREP_STAGE, Circuit, Control, GateKind, GateOp
+import numpy as np
+
+from .circuit import PREP_STAGE, Circuit, Control, GateKind, GateOp, popcounts
 from .qasm import lower_op
 
 TOFFOLI_WEIGHT = 5
@@ -37,6 +39,23 @@ def _lowered_tally(
     return gates["h"] + gates["x"], gates["cx"], gates["ccx"], gates["reset"]
 
 
+def _shapes(circuit: Circuit, start: int, stop: int) -> Counter:
+    """Tally of ``(kind, controls, negative controls)`` over one of
+    ``circuit.spans()``.  A held prep's is read off its pixels: 2n Hs, and
+    for each k, one X with 2n controls, k negative, per set color bit of the
+    pixels whose label has k zero bits."""
+    if start >= circuit.held:
+        return Counter(
+            (op.kind, len(op.controls), (op.mask ^ op.value).bit_count())
+            for op in circuit.span_ops(start, stop)
+        )
+    p = 2 * circuit.layout.n
+    zeros = p - popcounts(np.arange(len(circuit.pixels), dtype=np.int64), p)
+    per_k = np.bincount(zeros, popcounts(circuit.pixels, circuit.layout.q), p + 1)
+    mcx = Counter({(GateKind.X, p, k): int(x) for k, x in enumerate(per_k)})
+    return mcx + Counter({(GateKind.H, 0, 0): p})  # + drops the zero counts
+
+
 @dataclass
 class GateCounts:
     """Gate tallies for one stage, as its ops are exported."""
@@ -46,11 +65,9 @@ class GateCounts:
     toffoli: int = 0
     reset: int = 0
 
-    def count(self, ops: list[GateOp], width: int) -> None:
-        """Add ``ops`` of a circuit of ``width`` qubits, each as lowered."""
-        shapes = Counter(
-            (op.kind, len(op.controls), (op.mask ^ op.value).bit_count()) for op in ops
-        )
+    def count(self, shapes: Counter, width: int) -> None:
+        """Add ops of a circuit of ``width`` qubits, each as lowered, given
+        as a tally of their shapes (see ``_shapes``)."""
         for shape, times in shapes.items():
             single, cnot, toffoli, reset = _lowered_tally(*shape, width)
             self.single_qubit += times * single
@@ -107,7 +124,7 @@ def quantum_cost(circuit: Circuit) -> CostLedger:
     ledger = CostLedger()
     for s, start, stop in circuit.spans():
         counts = ledger.stages.setdefault(UNSTAGED if s is None else s.name, GateCounts())
-        counts.count(circuit.ops[start:stop], circuit.width)
+        counts.count(_shapes(circuit, start, stop), circuit.width)
         if s is not None and s.name != PREP_STAGE and s.quoted is not None:
             formula, value = s.quoted
             ledger.cost_by_formula[formula] = ledger.cost_by_formula.get(formula, 0) + value

@@ -1,7 +1,22 @@
 """Square grayscale images with power-of-two sides, plus plain PGM (P2) io."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Iterable
+
+
+def plain_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as plain ints; a bool or a value ``operator.index``
+    refuses raises ValueError naming it, so no pixel, threshold or level is
+    silently truncated or printed as ``True``."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for v in values:
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise ValueError(f"{what} {v!r} is not an integer")
+    return tuple(map(operator.index, values))
 
 
 @dataclass(frozen=True)
@@ -13,7 +28,9 @@ class ImageGray:
     pixels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pixels", tuple(self.pixels))
+        object.__setattr__(self, "n", *plain_ints((self.n,), "n"))
+        object.__setattr__(self, "q", *plain_ints((self.q,), "q"))
+        object.__setattr__(self, "pixels", plain_ints(self.pixels, "pixel value"))
         if self.n < 0:
             raise ValueError("n must be non-negative")
         if self.q < 1:
@@ -24,9 +41,9 @@ class ImageGray:
                 f"got {len(self.pixels)}"
             )
         top = self.max_value
-        for v in self.pixels:
-            if not 0 <= v <= top:
-                raise ValueError(f"pixel value {v} outside 0..{top}: does not fit in {self.q} bits")
+        if not 0 <= min(self.pixels) <= max(self.pixels) <= top:
+            v = next(v for v in self.pixels if not 0 <= v <= top)
+            raise ValueError(f"pixel value {v} outside 0..{top}: does not fit in {self.q} bits")
 
     @property
     def side(self) -> int:

@@ -3,39 +3,28 @@
 An image is encoded as an equal superposition over position labels with the
 gray value written into the color register of each branch: H on every
 position qubit, then one multi-controlled X per set bit of each pixel, the
-controls carrying the position pattern through their polarities.
+controls carrying the position pattern through their polarities.  The
+circuit holds the pixel array in place of those ops, and every simulator,
+the cost ledger and the exporter read the array.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import PREP_STAGE, Circuit, Control, GateKind, GateOp, RegisterLayout
+from .circuit import Circuit, RegisterLayout
 from .image import ImageGray
 from .tracked import BranchMap, assert_no_collision
 
 
 def build_preparation(image: ImageGray) -> Circuit:
-    """Circuit writing ``image`` into the color/position registers (stage prep).
+    """Circuit holding ``image`` as its prep stage, on ``RegisterLayout(image.n, image.q)``.
 
-    The layout is ``RegisterLayout(image.n, image.q)``.  Position wire ``j``
-    is bit ``j`` of the label and color wire ``2n + j`` bit ``j`` of the
-    gray value, so each pixel's controls read the label's bits directly.
+    The stage is the pixel array; ``Circuit.ops`` lists the ops it stands
+    for.  Position wire ``j`` is bit ``j`` of the label and color
+    wire ``2n + j`` bit ``j`` of the gray value.
     """
     layout = RegisterLayout(image.n, image.q)
-    p = 2 * image.n
-    circuit = Circuit(layout.width, layout)
-    with circuit.stage(PREP_STAGE):
-        for qb in layout.position:
-            circuit.h(qb)
-        polarities = [(qb, (Control(qb, False), Control(qb, True))) for qb in layout.position]
-        for label, value in enumerate(image.pixels):
-            if value == 0:
-                continue
-            controls = tuple(pair[label >> qb & 1] for qb, pair in polarities)
-            for cq in layout.color:
-                if value >> (cq - p) & 1:
-                    circuit.append(GateOp(GateKind.X, cq, controls))
-    return circuit
+    return Circuit(layout.width, layout, pixels=image.pixels)
 
 
 def decode(branch_map: BranchMap) -> ImageGray:

@@ -78,11 +78,12 @@ def lower_op(op: GateOp, width: int) -> list[GateOp]:
 def lower(circuit: Circuit) -> Circuit:
     """Rewrite to positive controls and at most two controls per gate.
 
-    Each of ``circuit.spans()`` lowers to one span, its stage kept whole."""
+    Each of ``circuit.spans()`` lowers to one span, its stage kept whole; a
+    held image's prep ops are lowered as they are made."""
     out = Circuit(circuit.width, circuit.layout)
     for s, start, stop in circuit.spans():
         out.append_span(
-            s, [low for op in circuit.ops[start:stop] for low in lower_op(op, out.width)]
+            s, [low for op in circuit.span_ops(start, stop) for low in lower_op(op, out.width)]
         )
     return out
 
@@ -104,7 +105,7 @@ def export_circuit_text(circuit: Circuit) -> str:
         elif after_stage:
             lines.append("// stage:")
         after_stage = s is not None
-        lines.extend(_format_op(op) for op in low.ops[start:stop])
+        lines.extend(_format_op(op) for op in low.gates[start:stop])
     return "\n".join(lines) + "\n"
 
 
@@ -192,7 +193,7 @@ def parse_circuit_text(text: str) -> Circuit:
     if width is None:
         raise QasmParseError(1, "missing qreg declaration")
     circuit = Circuit(width)
-    circuit.ops.extend(ops)  # every qubit was checked against the qreg
+    circuit.gates.extend(ops)  # every qubit was checked against the qreg
     stops = [at for at, _, _ in events[1:]] + [len(ops)]
     for (start, name, quoted), stop in zip(events, stops):
         if name is not None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Control, RegisterLayout, neg, pos
 from .comparator import build_comparator
 from .cost import quantum_cost
-from .image import ImageGray
+from .image import ImageGray, plain_ints
 from .neqr import build_preparation
 
 
@@ -37,8 +37,9 @@ class ThresholdConfig:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thresholds", tuple(self.thresholds))
-        object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "q", *plain_ints((self.q,), "q"))
+        object.__setattr__(self, "thresholds", plain_ints(self.thresholds, "threshold"))
+        object.__setattr__(self, "levels", plain_ints(self.levels, "level"))
         if self.q < 1:
             raise ValueError("q must be at least 1")
         top = (1 << self.q) - 1

@@ -7,7 +7,8 @@ the target was entangled with.  The state is stored as its support only:
 distinct int64 basis indices (qubit j is bit j) and complex amplitudes.  A
 permutation gate is the tracked backend's masked XOR
 (:func:`neqrseg.tracked.apply_permutation`), H splits each entry and merges
-partners, and a reset measures over the support.
+partners, and a reset measures over the support.  A circuit holding an image
+starts at its preparation's support.
 
 One walk of the reset tree serves both entry points, as Qiskit Aer's shot
 branching does, up to 62 qubits.  A node's k shots split at its reset as
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp
-from .tracked import apply_permutation, check_tracked_width
+from .tracked import apply_permutation, check_tracked_width, start_branches
 
 NORM_TOL = 1e-10
 
@@ -116,9 +117,14 @@ def _leaves(circuit: Circuit, shots: int, seed: int):
         raise ValueError("shots must be at least 1")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    spans = _reset_spans(circuit.ops)
+    spans = _reset_spans(circuit.gates)
+    # The root starts after any held prep, each amplitude the float that
+    # prep's 2n Hs leave: 2n = log2 of the support.
+    indices, amp = np.sort(start_branches(circuit)), 1.0
+    for _ in range(len(indices).bit_length() - 1):
+        amp *= _INV_SQRT2
     # (reset outcomes so far, shots held, support indices, amplitudes)
-    stack = [((), shots, np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))]
+    stack = [((), shots, indices, np.full(len(indices), amp, dtype=np.complex128))]
     while stack:
         path, held, indices, amps = stack.pop()
         ops, reset = spans[len(path)]

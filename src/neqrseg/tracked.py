@@ -12,11 +12,9 @@ control mask and value (:class:`~neqrseg.circuit.GateOp`), and
 :func:`apply_permutation` applies a permutation gate to every index at once as
 one masked XOR.
 
-Until an X or reset hits an H'd wire, the branches hold every pattern of the
-H'd wires once, so an X controlled on all of them fires on at most one branch.
-A run of such Xs, none controlled on a wire an earlier one flips (NEQR's prep),
-is one scatter: a sorted lookup of each op's row, then one
-``np.bitwise_xor.at``.  Every other op takes the masked XOR over all branches.
+A circuit holding an image starts from its prep's outcome, one branch per
+label with the pixel in the color register (:func:`start_branches`), and
+never builds the prep's ops.
 
 The bookkeeping is sound only while distinct branches carry distinct position
 tags; otherwise merging a reset incoherently could disagree with amplitude
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -106,28 +103,30 @@ def check_tracked_width(width: int) -> None:
         )
 
 
+def start_branches(circuit: Circuit) -> np.ndarray:
+    """|0...0>, or after a held image's prep, branch ``i`` with label ``i``
+    and pixel ``i`` in the color register: the H fan-out's order."""
+    if circuit.pixels is None:
+        return np.zeros(1, dtype=np.int64)
+    return np.arange(len(circuit.pixels), dtype=np.int64) | circuit.pixels << 2 * circuit.layout.n
+
+
 def run_tracked(circuit: Circuit) -> BranchMap:
     """Track a circuit exactly from |0...0>, all branches at once.
 
-    H is accepted only inside the ``prep`` stage, at most once per qubit, on
-    a qubit that is |0> in every branch (and, when the circuit has a layout,
+    A held image's prep is not run: the branches start at its outcome.  H
+    is accepted only inside the ``prep`` stage, at most once per qubit, on a
+    qubit that is |0> in every branch (and, when the circuit has a layout,
     only on position qubits).  Anything else would make basis tracking
     unsound; such circuits belong on the statevector backend.
     """
     check_tracked_width(circuit.width)
     prep = next((s for s in circuit.stages if s.name == PREP_STAGE), None)
     prep_start, prep_stop = (prep.start, prep.stop) if prep else (0, 0)
-    branches = np.zeros(1, dtype=np.int64)
+    branches = start_branches(circuit)
     h_seen: set[int] = set()
-    # The H'd wires; -1, which no control mask covers, once an X or reset
-    # hits one, since the branches may then repeat a pattern of them.
-    split = 0
-    ops, i = circuit.ops, 0
-    while i < len(ops):
-        op = ops[i]
+    for i, op in enumerate(circuit.gates, start=circuit.held):
         kind, target = op.kind, op.target
-        if kind is not GateKind.H and split >> target & 1:
-            split = -1
         if kind is GateKind.H:
             if not prep_start <= i < prep_stop:
                 raise ValueError(
@@ -149,34 +148,10 @@ def run_tracked(circuit: Circuit) -> BranchMap:
                     f"H on q{target} requires the qubit to be |0> in every branch"
                 )
             h_seen.add(target)
-            split |= bit
             branches = np.column_stack((branches, branches | bit)).ravel()
         elif kind is GateKind.RESET:
             branches = branches & ~(1 << target)
-        elif op.mask & split == split:
-            i = _scatter_run(branches, ops, i, split)
-            continue
         else:
             branches = apply_permutation(branches, op)
-        i += 1
     branches.flags.writeable = False
     return BranchMap(circuit.width, branches, circuit.layout)
-
-
-def _scatter_run(branches: np.ndarray, ops: list[GateOp], start: int, split: int) -> int:
-    """Apply, in place, the longest run of Xs from ``start`` that are
-    controlled on all of ``split`` and on no wire an earlier one flips;
-    return where it stops.  ``bitwise_xor.at`` folds repeated targets."""
-    run, written = [], 0
-    for op in islice(ops, start, None):
-        if op.kind is not GateKind.X or op.mask & split != split or op.mask & written:
-            break
-        written |= 1 << op.target
-        run += (op.mask, op.value, op.target)
-    masks, values, targets = np.array(run, dtype=np.int64).reshape(-1, 3).T
-    keys = branches & split
-    order = np.argsort(keys)
-    rows = order[np.searchsorted(keys[order], values & split)]
-    fires = (branches[rows] & masks) == values
-    np.bitwise_xor.at(branches, rows[fires], np.int64(1) << targets[fires])
-    return start + len(masks)

@@ -5,12 +5,15 @@ gate to one basis state, bit by bit, independently of the masked XOR both
 simulators share; ``extract_bits`` and ``insert_bits`` read and write a
 register given its MSB-first wires; ``from_basis`` starts a circuit from a
 basis state other than |0...0>, since every simulator starts from |0...0>.
+``prep_by_ops`` builds NEQR preparation as stored ops, the reference a held
+image is checked against, and ``built_by_ops`` swaps it in for a circuit's
+held image.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from neqrseg import Circuit, GateKind, GateOp, ImageGray
+from neqrseg import Circuit, Control, GateKind, GateOp, ImageGray, RegisterLayout
 
 
 def apply_to_basis(op: GateOp, assignment: int) -> int:
@@ -75,3 +78,34 @@ def from_basis(circuit: Circuit, index: int) -> Circuit:
         if index >> qb & 1:
             start.x(qb)
     return start.extend(circuit)
+
+
+def prep_by_ops(image: ImageGray) -> Circuit:
+    """NEQR preparation of ``image`` as stored ops: H on every position wire,
+    then one X per set color bit of each pixel, controlled on its label."""
+    layout = RegisterLayout(image.n, image.q)
+    p = 2 * image.n
+    circuit = Circuit(layout.width, layout)
+    with circuit.stage("prep"):
+        for qb in layout.position:
+            circuit.h(qb)
+        polarities = [(qb, (Control(qb, False), Control(qb, True))) for qb in layout.position]
+        for label, value in enumerate(image.pixels):
+            if value == 0:
+                continue
+            controls = tuple(pair[label >> qb & 1] for qb, pair in polarities)
+            for cq in layout.color:
+                if value >> (cq - p) & 1:
+                    circuit.append(GateOp(GateKind.X, cq, controls))
+    return circuit
+
+
+def built_by_ops(circuit: Circuit) -> Circuit:
+    """``circuit`` with its held image replaced by ``prep_by_ops``; every
+    later op and stage is copied as it is."""
+    layout = circuit.layout
+    out = prep_by_ops(ImageGray(layout.n, layout.q, circuit.pixels.tolist()))
+    for s, start, stop in circuit.spans():
+        if s is None or s.name != "prep":
+            out.append_span(s, circuit.span_ops(start, stop))
+    return out

@@ -351,3 +351,19 @@ def test_segment_refuses_an_image_too_wide_before_building(
     assert ("width 64 exceeds the 62-qubit limit" in err) is refused
     assert ("reached the build" in err) is not refused
     assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["tracked", "statevector"])
+def test_segment_never_builds_the_prep_ops(tmp_path, sample_pgm, monkeypatch, backend):
+    """The held image is read as an array by both backends and the cost
+    report; only ``circuit.ops`` and the QASM export make its ops."""
+    def refuse(circuit):
+        raise AssertionError("built the prep ops")
+
+    monkeypatch.setattr("neqrseg.circuit.Circuit._prep_ops", refuse)
+    out, report = tmp_path / "out.pgm", tmp_path / "c.json"
+    extra = ["--histogram", tmp_path / "h.csv"] if backend == "statevector" else []
+    argv = ["--t", "2,4", "--backend", backend, *extra, "--out", out, "--cost-report", report]
+    assert run_cli("segment", "--input", sample_pgm, *argv) == 0
+    assert read_image_pgm(out.read_bytes()) == ImageGray(2, 3, SEGMENTED_4X4)
+    assert json.loads(report.read_text())["perStage"]["prep"]["toffoli"] > 0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from neqrseg import ImageGray, read_image_pgm, write_image_pgm
@@ -11,6 +12,29 @@ def test_image_validation():
         ImageGray(1, 2, (0, 1, 2, 4))
     with pytest.raises(ValueError, match="q must be"):
         ImageGray(1, 0, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        ((1, 1, (True, False, 1, 0)), "pixel value True is not an integer"),
+        ((1, 2, (1.0, 2, 3, 0)), "pixel value 1.0 is not an integer"),
+        ((1, 2, (1.5, 2, 3, 0)), "pixel value 1.5 is not an integer"),
+        ((1, 2, (1, "2", 3, 0)), "pixel value '2' is not an integer"),
+        ((True, 2, (1, 2, 3, 0)), "n True is not an integer"),
+        ((1, 2.0, (1, 2, 3, 0)), "q 2.0 is not an integer"),
+    ],
+)
+def test_image_refuses_bools_and_non_integers(args, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ImageGray(*args)
+
+
+def test_image_stores_plain_ints_from_numpy_integers():
+    img = ImageGray(np.int64(1), np.uint8(2), np.array([1, 2, 3, 0], dtype=np.uint16))
+    assert img == ImageGray(1, 2, (1, 2, 3, 0))
+    assert {type(v) for v in (img.n, img.q, *img.pixels)} == {int}
+    assert write_image_pgm(img) == b"P2\n2 2\n3\n1 2\n3 0\n"
 
 
 def test_from_rows_rejects_ragged_rows():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from neqrseg import (
@@ -41,6 +42,27 @@ def test_config_validation_messages():
         ThresholdConfig(3, (), (0,))
     with pytest.raises(ValueError, match="q must be"):
         ThresholdConfig(0, (1,), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        ((3, (2.5,), (0, 7)), "threshold 2.5 is not an integer"),
+        ((3, (True,), (0, 7)), "threshold True is not an integer"),
+        ((3, (2,), (0, 7.0)), "level 7.0 is not an integer"),
+        ((3, (2,), (False, 7)), "level False is not an integer"),
+        ((3.0, (2,), (0, 7)), "q 3.0 is not an integer"),
+    ],
+)
+def test_config_refuses_bools_and_non_integers(args, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ThresholdConfig(*args)
+
+
+def test_config_stores_plain_ints_from_numpy_integers():
+    cfg = ThresholdConfig(np.int8(3), np.array([2, 4]), (np.int64(0), 4, np.uint8(7)))
+    assert cfg == ThresholdConfig(3, (2, 4), (0, 4, 7))
+    assert {type(v) for v in (cfg.q, *cfg.thresholds, *cfg.levels)} == {int}
 
 
 def test_config_rejects_reclassifiable_levels():

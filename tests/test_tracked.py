@@ -77,6 +77,13 @@ def test_h_outside_prep_is_refused():
         run_tracked(c)
 
 
+def test_h_after_a_held_prep_is_refused(sample_4x4):
+    c = build_preparation(sample_4x4)
+    c.h(0)
+    with pytest.raises(ValueError, match="statevector"):
+        run_tracked(c)
+
+
 def test_h_on_non_position_qubit_refused():
     layout = RegisterLayout(1, 2)
     c = Circuit(layout.width, layout)
@@ -260,9 +267,10 @@ def assert_same_branches(circuit):
 
 @st.composite
 def fan_out_circuits(draw):
-    """A prep stage fanning out on k wires, mostly X ops whose controls cover
-    every wire H'd so far (extra controls and polarities drawn), broken up by
-    arbitrary Xs and resets, some on an H'd wire."""
+    """A prep stage given as ops, fanning out on k wires, mostly X ops whose
+    controls cover every wire H'd so far (extra controls and polarities
+    drawn), broken up by arbitrary Xs and resets, some on an H'd wire; and
+    the basis state it starts from."""
     if draw(st.booleans()):
         layout = RegisterLayout(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
         width, h_pool = layout.width, list(layout.position)
@@ -302,23 +310,42 @@ def fan_out_circuits(draw):
     return c, initial
 
 
+@st.composite
+def held_circuits(draw):
+    """A held image, then Xs with drawn controls and resets on any wire,
+    position and color wires included."""
+    n, q = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    pixels = draw(st.lists(st.integers(0, (1 << q) - 1), min_size=4**n, max_size=4**n))
+    c = build_preparation(ImageGray(n, q, tuple(pixels)))
+    wires = st.integers(0, c.width - 1)
+    for _ in range(draw(st.integers(0, 8))):
+        target = draw(wires)
+        if draw(st.booleans()):
+            c.reset(target)
+            continue
+        others = draw(st.sets(wires.filter(lambda w: w != target)))
+        c.append(GateOp(GateKind.X, target, tuple(
+            Control(w, draw(st.booleans())) for w in sorted(others)
+        )))
+    return c
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(fan_out_circuits())
-def test_scatter_runs_match_the_per_op_fold(case):
-    circuit, initial = case
-    assert_same_branches(from_basis(circuit, initial))
+@given(st.one_of(fan_out_circuits().map(lambda case: from_basis(*case)), held_circuits()))
+def test_runs_match_the_per_op_fold(circuit):
+    """Op-built circuits and held images alike; the fold reads ``ops``, so a
+    held image's prep is folded op by op."""
+    assert_same_branches(circuit)
 
 
-def test_x_on_an_h_wire_turns_the_scatter_off_for_good():
-    """After the CNOT onto the H'd wire q0, two branches share each value of
-    q1, so a scatter keyed on q1 alone could miss the branch |01>."""
-    c = Circuit(3)
-    with c.stage("prep"):
-        c.h(0).h(1)
+def test_x_on_a_position_wire_after_a_held_prep():
+    """The CNOT onto position wire q0 leaves two branches with each value of
+    q1, and the Xs after it see the moved wire."""
+    c = build_preparation(ImageGray(1, 1, (0, 1, 0, 1)))  # color on q2
     c.cx(1, 0)
     c.append(GateOp(GateKind.X, 2, (pos(0), Control(1, False))))
     c.append(GateOp(GateKind.X, 2, (pos(0), pos(1))))
-    assert sorted(run_tracked(c).branches.tolist()) == [0b000, 0b010, 0b101, 0b111]
+    assert sorted(run_tracked(c).branches.tolist()) == [0b000, 0b001, 0b110, 0b111]
     assert_same_branches(c)
 
 
@@ -345,3 +372,16 @@ def test_128x128_pipeline_runs_within_its_budget():
     elapsed = time.perf_counter() - start
     assert decode(result) == classical_segment(image, config)
     assert elapsed < 1.0, f"run_tracked took {elapsed:.2f}s of its 1s budget"
+
+
+def test_256x256_segmentation_runs_within_its_budget():
+    """Build, run and decode at 256x256 8-bit: the held image keeps prep's
+    262,000-odd ops unbuilt."""
+    rng = random.Random(256)
+    image = ImageGray(8, 8, tuple(rng.randrange(256) for _ in range(4**8)))
+    config = ThresholdConfig.with_default_levels(8, (64, 128))
+    start = time.perf_counter()
+    result = decode(run_tracked(build_pipeline(image, config)))
+    elapsed = time.perf_counter() - start
+    assert result == classical_segment(image, config)
+    assert elapsed < 1.0, f"build, run and decode took {elapsed:.2f}s of their 1s budget"
