@@ -18,7 +18,7 @@ from .segmentation import (
     default_thresholds,
     reference_pipeline,
 )
-from .statevector import ShotRecord, records_to_csv, sample_shots
+from .statevector import MAX_SHOTS, ShotRecord, records_to_csv, sample_shots
 from .tracked import assert_no_collision, check_tracked_width, run_tracked
 from .neqr import decode
 
@@ -114,6 +114,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise ValueError("--histogram needs --backend statevector")
     if args.backend == "statevector" and shots < 1:
         raise ValueError("--shots must be at least 1")
+    if args.backend == "statevector" and shots > MAX_SHOTS:
+        raise ValueError(f"--shots must be at most {MAX_SHOTS}")
     if args.backend == "statevector" and seed < 0:
         raise ValueError("--seed must be non-negative")
     data = Path(args.input).read_bytes()

@@ -97,9 +97,13 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
         )
     if len(values) > width * height:
         raise ValueError("trailing data after pixel values")
+    # One ASCII-digit check over all the values at once, not one per pixel.
+    digits = "".join(values)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("malformed pixel value")
     try:
-        pixels = tuple(_plain_int(v) for v in values)
-    except ValueError:
+        pixels = tuple(map(int, values))
+    except ValueError:  # past int()'s 4300-digit limit
         raise ValueError("malformed pixel value") from None
     return ImageGray((width - 1).bit_length(), q, pixels)
 

@@ -205,6 +205,8 @@ def test_component_sum_is_the_reported_circuits_quotes(capsys, q, count, compone
         # and past the 4300-digit limit
         (["--t", "2,4", "--backend", "statevector", "--seed", "9" * 5000], "--seed takes ASCII digits (at most 4300)"),
         (["--t", "2,4", "--backend", "statevector", "--shots", "9" * 5000], "--shots takes ASCII digits (at most 4300)"),
+        # numpy's binomial takes int64 shot counts
+        (["--t", "2,4", "--backend", "statevector", "--shots", str(2**63)], "--shots must be at most 9223372036854775807"),
     ],
 )
 def test_segment_bad_arguments(tmp_path, sample_pgm, capsys, argv, fragment):

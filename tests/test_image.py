@@ -98,6 +98,8 @@ def test_pgm_accepts_bytes_and_str():
         pytest.param("P2 \u0661 \u0661 \u0663 \u0663", "malformed PGM header", id="arabic-indic"),
         pytest.param("P2 2 2 1_5 1 2 3 4", "malformed PGM header", id="underscore"),
         pytest.param("P2 1 1 1 \uff11", "malformed pixel", id="fullwidth"),
+        # ASCII digits past int()'s 4300-digit limit
+        pytest.param("P2 1 1 1 " + "1" * 5000, "malformed pixel", id="digit-limit"),
     ],
 )
 def test_pgm_rejects_bad_input(text, fragment):

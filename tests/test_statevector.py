@@ -19,6 +19,7 @@ from neqrseg import (
     run,
     run_tracked,
     sample_shots,
+    statevector,
 )
 
 
@@ -135,11 +136,21 @@ def test_sampling_uniform_two_qubit():
 def test_guards():
     with pytest.raises(ValueError, match="shots"):
         sample_shots(Circuit(1), 0, seed=0)
+    # numpy's binomial and multinomial take int64 counts
+    with pytest.raises(ValueError, match="shots"):
+        sample_shots(Circuit(1), 2**63, seed=0)
     # refused up front, also where no reset would ever draw
     with pytest.raises(ValueError, match="seed"):
         run(Circuit(1).x(0), seed=-1)
     with pytest.raises(ValueError, match="seed"):
         sample_shots(Circuit(1).x(0), 8, seed=-1)
+
+
+def test_a_drifted_norm_is_refused(monkeypatch):
+    # Three entries of amplitude 1/sqrt(2) each: a root of norm 1.5.
+    monkeypatch.setattr(statevector, "start_branches", lambda c: np.arange(3, dtype=np.int64))
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        sample_shots(Circuit(2).reset(0), 8, seed=0)
 
 
 def test_records_to_csv_layout():
@@ -324,6 +335,38 @@ def test_matches_dense_reference_on_random_circuits():
         (record,) = sample_shots(c, 1, seed=case)
         support = run(c, seed=case).indices.tolist()
         assert record.bitstring in {_key(c, idx) for idx in support}
+
+
+def test_matches_dense_reference_with_many_live_trajectories():
+    # Enough shots that most resets split, so many trajectories are live at
+    # once and every op runs over all of their supports together.
+    rng = random.Random(4242)
+    for case in range(30):
+        c = _random_mixed_circuit(rng, rng.randint(3, 10), rng.randint(20, 60))
+        for shots in (256, 1024):
+            assert sample_shots(c, shots, seed=case) == dense_sample(c, shots, case)
+
+
+def test_h_after_a_split_acts_within_each_trajectory():
+    # After the reset, one trajectory holds |00> and the other |01>: an H
+    # on q0 must not pair the two, which a merge keyed by index alone would.
+    c = Circuit(2).h(0).cx(0, 1).reset(1).h(0).h(0)
+    assert {r.bitstring for r in sample_shots(c, 4000, seed=3)} == {"00", "01"}
+    for seed in range(8):
+        state = run(c, seed=seed)
+        assert len(state.indices) == 1 and state.indices[0] in (0b00, 0b01)
+        assert state.amplitudes[0] == pytest.approx(1.0)
+
+
+def test_a_reset_its_support_agrees_on_takes_no_draw():
+    # Some of this pipeline's certain resets sum p1 to just under 1 in
+    # floats; a draw there would give shots to a branch of probability
+    # about 1e-16 once the shot count is large enough.
+    pipe = build_pipeline(SAMPLE_4X4, ThresholdConfig.with_default_levels(3, (2, 4)))
+    shots = 2**63 - 1
+    records = sample_shots(pipe, shots, seed=0)
+    assert sum(r.count for r in records) == shots
+    assert {r.bitstring for r in records} == set(run_tracked(pipe).readout_distribution())
 
 
 def test_matches_dense_reference_on_pipelines():
