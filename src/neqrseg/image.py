@@ -109,6 +109,9 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
 
 
 def write_image_pgm(image: ImageGray) -> bytes:
-    lines = ["P2", f"{image.side} {image.side}", f"{image.max_value}"]
-    lines.extend(" ".join(str(v) for v in row) for row in image.rows())
-    return ("\n".join(lines) + "\n").encode("ascii")
+    # One %-format over the whole pixel tuple formats every value in C, with
+    # no Python call per value (str() per value, by map or generator, is
+    # about twice as slow).
+    s = image.side
+    body = "\n".join([" ".join(["%d"] * s)] * s) % image.pixels
+    return f"P2\n{s} {s}\n{image.max_value}\n{body}\n".encode("ascii")

@@ -7,7 +7,10 @@ Toffolis, so every exported line is standard OpenQASM 2.0; the cost ledger
 tallies what it emits.  ``// stage:<name>``, plus `` <formula>=<value>`` for
 a quoted cost, marks a stage start and a bare ``// stage:`` a gap after one;
 parsing recovers both, and refuses a repeated or malformed marker and any
-header but ``OPENQASM 2.0;`` and ``include "qelib1.inc";``.
+header but ``OPENQASM 2.0;`` and ``include "qelib1.inc";``.  Both sides do
+their work once per distinct piece: export makes the text of each distinct
+X flank and Toffoli ladder once, and parsing reads each distinct statement
+line once.
 """
 from __future__ import annotations
 
@@ -66,13 +69,17 @@ def _positive_mcx(controls: list[int], target: int, width: int) -> list[GateOp]:
     return split + split
 
 
+def _flips(controls: tuple[Control, ...]) -> list[GateOp]:
+    """The X on each negative control that flanks a lowered gate."""
+    return [GateOp(GateKind.X, qb) for qb, positive in controls if not positive]
+
+
 def lower_op(op: GateOp, width: int) -> list[GateOp]:
     """``op`` as exported at ``width``: gates with at most two positive controls."""
     if not op.controls:
         return [op]
-    flips = [GateOp(GateKind.X, c.qubit) for c in op.controls if not c.positive]
-    body = _positive_mcx([c.qubit for c in op.controls], op.target, width)
-    return flips + body + flips
+    flips = _flips(op.controls)
+    return flips + _positive_mcx([c.qubit for c in op.controls], op.target, width) + flips
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -93,19 +100,44 @@ def _format_op(op: GateOp) -> str:
     return f"{op.mnemonic} {args};"
 
 
+def _text(ops: list[GateOp]) -> str:
+    return "\n".join(map(_format_op, ops))
+
+
 def export_circuit_text(circuit: Circuit) -> str:
-    """Serialize the lowered circuit, one statement per line."""
-    low = lower(circuit)
-    lines = [*_HEADER, f"qreg q[{low.width}];"]
+    """Serialize the lowered circuit, one statement per line.
+
+    Each op is written as ``lower_op`` lowers it, but the text of each
+    distinct X flank (keyed by the controls) and of each distinct positive
+    ladder (keyed by control wires and target) is made once per call: a
+    held image's prep reuses one flank per label and one ladder per color
+    wire."""
+    lines = [*_HEADER, f"qreg q[{circuit.width}];"]
+    flanks: dict[tuple[Control, ...], tuple[str, tuple[int, ...]]] = {}
+    ladders: dict[tuple[tuple[int, ...], int], str] = {}
     after_stage = False
-    for s, start, stop in low.spans():
+    for s, start, stop in circuit.spans():
         if s is not None:
             quote = "" if s.quoted is None else " {}={}".format(*s.quoted)
             lines.append(f"// stage:{s.name}{quote}")
         elif after_stage:
             lines.append("// stage:")
         after_stage = s is not None
-        lines.extend(_format_op(op) for op in low.gates[start:stop])
+        for op in circuit.span_ops(start, stop):
+            if not op.controls:
+                lines.append(_format_op(op))
+                continue
+            known = flanks.get(op.controls)
+            if known is None:
+                qubits = tuple(qb for qb, _ in op.controls)
+                known = flanks[op.controls] = (_text(_flips(op.controls)), qubits)
+            flank, qubits = known
+            ladder = ladders.get((qubits, op.target))
+            if ladder is None:
+                ladder = ladders[qubits, op.target] = _text(
+                    _positive_mcx(list(qubits), op.target, circuit.width)
+                )
+            lines.extend((flank, ladder, flank) if flank else (ladder,))
     return "\n".join(lines) + "\n"
 
 
@@ -124,13 +156,23 @@ _GATES = {"h": (GateKind.H, 1), "x": (GateKind.X, 1), "reset": (GateKind.RESET, 
 
 
 def parse_circuit_text(text: str) -> Circuit:
-    """Parse the exported subset back into a circuit (stages included)."""
+    """Parse the exported subset back into a circuit (stages included).
+
+    A statement line seen before is not parsed again: it appends the same
+    frozen op.  Only lines that parsed after the ``qreg`` are remembered, so
+    every other line meets every check, at its own line number."""
     width: int | None = None
     ops: list[GateOp] = []
+    known: dict[str, GateOp] = {}
     # (op index, stage name or None-to-close, quote) in order of appearance
     events: list[tuple[int, str | None, tuple[str, int] | None]] = []
+    named: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        op = known.get(line)
+        if op is not None:
+            ops.append(op)
+            continue
         if not line:
             continue
         if _MARKER_RE.match(line):
@@ -138,8 +180,10 @@ def parse_circuit_text(text: str) -> Circuit:
             if not m:
                 raise QasmParseError(line_no, f"malformed stage marker: {line!r}")
             name, formula, value = m.groups()
-            if name is not None and any(seen == name for _, seen, _ in events):
+            if name in named:
                 raise QasmParseError(line_no, f"repeated stage marker {name!r}")
+            if name is not None:
+                named.add(name)
             quoted = None if formula is None else (formula, int(value))
             events.append((len(ops), name, quoted))
             continue
@@ -184,11 +228,11 @@ def parse_circuit_text(text: str) -> Circuit:
                 raise QasmParseError(line_no, f"qubit q[{qb}] outside qreg q[{width}]")
             qubits.append(qb)
         try:
-            ops.append(
-                GateOp(kind, qubits[-1], tuple(Control(qb) for qb in qubits[:-1]))
-            )
+            op = GateOp(kind, qubits[-1], tuple(Control(qb) for qb in qubits[:-1]))
         except ValueError as exc:
             raise QasmParseError(line_no, str(exc)) from None
+        ops.append(op)
+        known[line] = op
 
     if width is None:
         raise QasmParseError(1, "missing qreg declaration")

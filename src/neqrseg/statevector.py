@@ -26,7 +26,6 @@ leaf's support.  The law is that of independent trajectories.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,12 +168,6 @@ def run(circuit: Circuit, *, seed: int) -> QuantumState:
     return QuantumState(indices, amps, circuit.width)
 
 
-def _record_key(circuit: Circuit, basis_index: int) -> str:
-    if circuit.layout is not None:
-        return circuit.layout.readout_bitstring(basis_index)
-    return format(basis_index, f"0{circuit.width}b")
-
-
 def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]:
     """Sample ``shots`` runs from |0...0> in one walk of the reset tree.
 
@@ -182,14 +175,23 @@ def sample_shots(circuit: Circuit, shots: int, *, seed: int) -> list[ShotRecord]
     circuit has a layout, else by the full bitstring, and returned sorted by
     bitstring.
     """
-    counter: Counter[str] = Counter()
+    drawn, drawn_counts = [], []
     for path, held, indices, _, probs in _leaves(circuit, shots, seed):
         counts = _node_rng(seed, path).multinomial(held, probs / probs.sum())
-        for idx, count in zip(indices[counts > 0].tolist(), counts[counts > 0].tolist()):
-            counter[_record_key(circuit, idx)] += count
+        drawn.append(indices[counts > 0])
+        drawn_counts.append(counts[counts > 0])
+    keys, counts, bits = np.concatenate(drawn), np.concatenate(drawn_counts), circuit.width
+    if circuit.layout is not None:
+        keys, bits = circuit.layout.readout_value(keys), circuit.layout.q + 2 * circuit.layout.n
+    # Summed per distinct key in int64, exactly; fixed-width bitstrings sort
+    # as their keys do, so one string is made per key, in order.
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    totals = np.add.reduceat(counts, starts)
     return [
-        ShotRecord(bits, count, count / shots)
-        for bits, count in sorted(counter.items())
+        ShotRecord(format(key, f"0{bits}b"), count, count / shots)
+        for key, count in zip(keys[starts].tolist(), totals.tolist())
     ]
 
 

@@ -7,13 +7,14 @@ register given its MSB-first wires; ``from_basis`` starts a circuit from a
 basis state other than |0...0>, since every simulator starts from |0...0>.
 ``prep_by_ops`` builds NEQR preparation as stored ops, the reference a held
 image is checked against, and ``built_by_ops`` swaps it in for a circuit's
-held image.
+held image.  ``export_by_ops`` writes a circuit's QASM one lowered op per
+line, the reference for ``export_circuit_text``.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from neqrseg import Circuit, Control, GateKind, GateOp, ImageGray, RegisterLayout
+from neqrseg import Circuit, Control, GateKind, GateOp, ImageGray, RegisterLayout, lower
 
 
 def apply_to_basis(op: GateOp, assignment: int) -> int:
@@ -109,3 +110,22 @@ def built_by_ops(circuit: Circuit) -> Circuit:
         if s is None or s.name != "prep":
             out.append_span(s, circuit.span_ops(start, stop))
     return out
+
+
+def export_by_ops(circuit: Circuit) -> str:
+    """``circuit`` as OpenQASM, op by op: ``lower(circuit)``, then one line
+    per lowered op, with a ``// stage:`` marker (and quote) at each stage
+    start and a bare one at each gap after a stage."""
+    low = lower(circuit)
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{low.width}];"]
+    after_stage = False
+    for s, start, stop in low.spans():
+        if s is not None:
+            quote = "" if s.quoted is None else f" {s.quoted[0]}={s.quoted[1]}"
+            lines.append(f"// stage:{s.name}{quote}")
+        elif after_stage:
+            lines.append("// stage:")
+        after_stage = s is not None
+        for op in low.gates[start:stop]:
+            lines.append(f"{op.mnemonic} {','.join(f'q[{qb}]' for qb in op.qubits)};")
+    return "\n".join(lines) + "\n"

@@ -109,3 +109,14 @@ def test_pgm_rejects_bad_input(text, fragment):
 
 def test_written_form_is_row_per_line(sample_2x2):
     assert write_image_pgm(sample_2x2) == b"P2\n2 2\n255\n0 100\n200 255\n"
+
+
+def test_written_bytes_match_the_per_value_formula():
+    rng = np.random.default_rng(7)
+    for n, q in [(0, 1), (0, 8), (1, 3), (2, 1), (3, 8), (4, 5), (5, 16), (2, 62)]:
+        pixels = tuple(int(v) for v in rng.integers(0, 1 << q, 4**n, dtype=np.int64))
+        image = ImageGray(n, q, pixels)
+        rows = (" ".join(str(v) for v in row) for row in image.rows())
+        want = "\n".join(["P2", f"{image.side} {image.side}", f"{image.max_value}", *rows]) + "\n"
+        assert write_image_pgm(image) == want.encode("ascii")
+        assert read_image_pgm(write_image_pgm(image)) == image

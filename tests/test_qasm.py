@@ -195,6 +195,10 @@ def test_mcx_without_room_is_rejected():
         export_circuit_text(c)
 
 
+_REPEATS = 1000
+_HEAD = "OPENQASM 2.0;\nqreg q[3];\n"
+
+
 @pytest.mark.parametrize(
     "text,line,fragment",
     [
@@ -237,6 +241,23 @@ def test_mcx_without_room_is_rejected():
         pytest.param(
             "OPENQASM 2.0;\nqreg q[1];\n// stage:a f=\u0667\n", 3, "malformed stage marker",
             id="quote-arabic-indic",
+        ),
+        # a bad line after many copies of a good one, which parse once
+        pytest.param(
+            _HEAD + "ccx q[0],q[1],q[2];\n" * _REPEATS + "ccx q[0],q[1],q[3];\n",
+            3 + _REPEATS, "outside", id="repeats-then-qubit-out-of-range",
+        ),
+        pytest.param(
+            _HEAD + "ccx q[0],q[1],q[2];\n" * _REPEATS + "ccx q[0],q[0],q[2];\n",
+            3 + _REPEATS, "distinct", id="repeats-then-repeated-control",
+        ),
+        pytest.param(
+            "OPENQASM 2.0;\ncx q[0],q[1];\nqreg q[3];\n" + "cx q[0],q[1];\n" * _REPEATS,
+            2, "before qreg", id="gate-before-qreg-repeated-later",
+        ),
+        pytest.param(
+            _HEAD + "cx q[0],q[1];\n" * _REPEATS + "qreg q[3];\ncx q[0],q[1];\n",
+            3 + _REPEATS, "duplicate qreg", id="repeats-then-duplicate-qreg",
         ),
     ],
 )
