@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# The NEQR preparation stage: the only stage that may hold H, and never costed.
+# The NEQR preparation stage, never costed.  H may sit in any stage: the tracked backend
+# asks only that its wire be |0> in every branch; distinct position tags are for decode.
 PREP_STAGE = "prep"
 
 

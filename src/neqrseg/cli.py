@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .circuit import RegisterLayout
-from .cost import quantum_cost
+from .cost import CostLedger, quantum_cost
 from .image import ImageGray, read_image_pgm, write_image_pgm
 from .qasm import MAX_QREG_WIDTH, export_circuit_text
 from .segmentation import (
@@ -23,6 +23,9 @@ from .tracked import assert_no_collision, check_tracked_width, run_tracked
 from .neqr import decode
 
 COST_SCHEMA = 2
+# Most gate lines --export-qasm writes, read off the ledger before anything runs:
+# a random 256x256 8-bit image exports 19M (363 MB), a 512x512 one would export 86M.
+MAX_EXPORT_LINES = 1 << 25
 _MAX_DIGITS = 4300  # int() refuses a longer decimal string
 _DECIMAL = rf"[0-9]{{1,{_MAX_DIGITS}}}"  # int() alone also takes a sign, "_" and any Unicode digit
 
@@ -52,8 +55,7 @@ def _int_option(text: str, option: str) -> int:
     return int(text)
 
 
-def _cost_payload(circuit, q: int, threshold_count: int) -> dict:
-    ledger = quantum_cost(circuit)
+def _cost_payload(ledger: CostLedger, q: int, threshold_count: int) -> dict:
     table = []
     for row in comparison_table(q):
         entry = {
@@ -132,6 +134,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
     else:
         config = ThresholdConfig.with_default_levels(image.q, tuple(thresholds))
     circuit = build_pipeline(image, config)
+    wanted = args.cost_report is not None or args.export_qasm is not None
+    ledger = quantum_cost(circuit) if wanted else None
+    if args.export_qasm is not None:
+        lines = sum(c.single_qubit + c.cnot + c.toffoli + c.reset for c in ledger.stages.values())
+        if lines > MAX_EXPORT_LINES:
+            raise ValueError(
+                f"--export-qasm would write {lines} gate lines, above its limit "
+                f"of {MAX_EXPORT_LINES}; export_circuit_text takes no such limit"
+            )
 
     records: list[ShotRecord] | None = None
     if args.backend == "tracked":
@@ -153,7 +164,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if args.histogram is not None:
         outputs.append((args.histogram, records_to_csv(records).encode()))
     if args.cost_report is not None:
-        payload = _cost_payload(circuit, image.q, len(config.thresholds))
+        payload = _cost_payload(ledger, image.q, len(config.thresholds))
         report = json.dumps(payload, indent=2) + "\n"
         outputs.append((args.cost_report, report.encode()))
     if args.export_qasm is not None:
@@ -176,7 +187,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     else:
         count = _int_option(args.thresholds, "--thresholds")
     circuit = reference_pipeline(q, count)
-    payload = _cost_payload(circuit, q, count)
+    payload = _cost_payload(quantum_cost(circuit), q, count)
     print(json.dumps(payload, indent=2))
     return 0
 

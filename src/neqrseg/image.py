@@ -63,9 +63,11 @@ class ImageGray:
         return [self.pixels[r * s : (r + 1) * s] for r in range(s)]
 
 
-def _plain_int(token: str) -> int:
-    """``int(token)``; ValueError unless ASCII ``[0-9]+`` (no sign, ``_`` or Unicode digit)."""
-    return int(token if token.isascii() and token.isdigit() else "")
+def _ascii_ints(tokens: list[str]) -> tuple[int, ...]:
+    """``tokens`` as ints; ValueError unless their join is empty or ASCII ``[0-9]+`` (no sign,
+    ``_`` or Unicode digit: one check for all tokens) and each is within int()'s 4300 digits."""
+    digits = "".join(tokens) or "0"
+    return tuple(map(int, tokens if digits.isascii() and digits.isdigit() else [""]))
 
 
 def read_image_pgm(data: bytes | str) -> ImageGray:
@@ -77,7 +79,7 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
     if not tokens or tokens[0] != "P2":
         raise ValueError("not a plain PGM (P2) file")
     try:
-        fields = [_plain_int(t) for t in tokens[1:4]]
+        fields = _ascii_ints(tokens[1:4])
     except ValueError:
         raise ValueError("malformed PGM header") from None
     if len(fields) < 3:
@@ -97,13 +99,9 @@ def read_image_pgm(data: bytes | str) -> ImageGray:
         )
     if len(values) > width * height:
         raise ValueError("trailing data after pixel values")
-    # One ASCII-digit check over all the values at once, not one per pixel.
-    digits = "".join(values)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("malformed pixel value")
     try:
-        pixels = tuple(map(int, values))
-    except ValueError:  # past int()'s 4300-digit limit
+        pixels = _ascii_ints(values)
+    except ValueError:
         raise ValueError("malformed pixel value") from None
     return ImageGray((width - 1).bit_length(), q, pixels)
 

@@ -1,12 +1,12 @@
 """Exact basis-tracked backend, and the sparse kernel both simulators share.
 
-After an H-only fan-out in the preparation stage, every branch of the
-superposition stays a classical bit vector: X/CNOT/TOFFOLI/MCX flip bits and
-RESET clears the target deterministically per branch.  The whole evolution is
-therefore an int64 array of basis indices, one per branch, with no sampling
-and no floating point; int64 is why widths above 62 qubits are refused.  That
-array is the result: :class:`BranchMap` holds it read-only, and every query
-reads positions and colors off it in one vectorised pass.  All branches weigh
+Every branch stays a classical bit vector: H doubles the branches on a wire
+they all hold at 0, X/CNOT/TOFFOLI/MCX flip bits and RESET clears the target
+deterministically per branch.  The whole evolution is therefore an int64
+array of basis indices, one per branch, with no sampling and no floating
+point; int64 is why widths above 62 qubits are refused.  That array is the
+result: :class:`BranchMap` holds it read-only, and every query reads
+positions and colors off it in one vectorised pass.  All branches weigh
 1/2^splits, so the weight is derived, never stored.  Each op carries its
 control mask and value (:class:`~neqrseg.circuit.GateOp`), and
 :func:`apply_permutation` applies a permutation gate to every index at once as
@@ -16,11 +16,13 @@ A circuit holding an image starts from its prep's outcome, one branch per
 label with the pixel in the color register (:func:`start_branches`), and
 never builds the prep's ops.
 
-The bookkeeping is sound only while distinct branches carry distinct position
-tags; otherwise merging a reset incoherently could disagree with amplitude
-interference.  ``assert_no_collision`` checks the tag condition, and H gates
-are refused outside the preparation stage (or on a qubit that is not |0> in
-every branch) because they would create exactly that kind of interference.
+The equally weighted branches are the exact diagonal of the density matrix,
+the law of the final readout.  Permutations and resets map that diagonal to
+itself without reading its off-diagonal terms.  H is accepted only on a wire
+that is |0> in every branch, where it acts on a |0><0| factor and the fan-out
+is exact; any other H needs the statevector backend.  Distinct position tags
+are not needed for exactness, only by ``decode``, which raises
+``CollisionError`` or "missing" without them.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import PREP_STAGE, Circuit, GateKind, GateOp, RegisterLayout
+from .circuit import Circuit, GateKind, GateOp, RegisterLayout
 
 MAX_TRACKED_WIDTH = 62
 
@@ -115,39 +117,20 @@ def run_tracked(circuit: Circuit) -> BranchMap:
     """Track a circuit exactly from |0...0>, all branches at once.
 
     A held image's prep is not run: the branches start at its outcome.  H
-    is accepted only inside the ``prep`` stage, at most once per qubit, on a
-    qubit that is |0> in every branch (and, when the circuit has a layout,
-    only on position qubits).  Anything else would make basis tracking
-    unsound; such circuits belong on the statevector backend.
+    is accepted on any wire that is |0> in every branch, wherever it sits;
+    anything else could interfere and belongs on the statevector backend.
     """
     check_tracked_width(circuit.width)
-    prep = next((s for s in circuit.stages if s.name == PREP_STAGE), None)
-    prep_start, prep_stop = (prep.start, prep.stop) if prep else (0, 0)
     branches = start_branches(circuit)
-    h_seen: set[int] = set()
-    for i, op in enumerate(circuit.gates, start=circuit.held):
+    for op in circuit.gates:
         kind, target = op.kind, op.target
         if kind is GateKind.H:
-            if not prep_start <= i < prep_stop:
-                raise ValueError(
-                    "H outside the prep stage makes basis tracking unsound; "
-                    "use the statevector backend for this circuit"
-                )
-            if circuit.layout is not None and target not in circuit.layout.position:
-                raise ValueError(
-                    f"prep-stage H must act on a position qubit, not q{target}"
-                )
-            if target in h_seen:
-                raise ValueError(
-                    f"second H on q{target} could interfere; "
-                    "use the statevector backend"
-                )
             bit = 1 << target
             if np.any(branches & bit):
                 raise ValueError(
-                    f"H on q{target} requires the qubit to be |0> in every branch"
+                    f"H on q{target} requires the qubit to be |0> in every branch; "
+                    "use the statevector backend for this circuit"
                 )
-            h_seen.add(target)
             branches = np.column_stack((branches, branches | bit)).ravel()
         elif kind is GateKind.RESET:
             branches = branches & ~(1 << target)

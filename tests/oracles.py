@@ -8,11 +8,15 @@ basis state other than |0...0>, since every simulator starts from |0...0>.
 ``prep_by_ops`` builds NEQR preparation as stored ops, the reference a held
 image is checked against, and ``built_by_ops`` swaps it in for a circuit's
 held image.  ``export_by_ops`` writes a circuit's QASM one lowered op per
-line, the reference for ``export_circuit_text``.
+line, the reference for ``export_circuit_text``.  ``exact_law`` runs a
+narrow circuit on a dense density matrix, the reference for the law of a
+tracked run.
 """
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 from neqrseg import Circuit, Control, GateKind, GateOp, ImageGray, RegisterLayout, lower
 
@@ -25,6 +29,41 @@ def apply_to_basis(op: GateOp, assignment: int) -> int:
         if bool(assignment >> c.qubit & 1) != c.positive:
             return assignment
     return assignment ^ (1 << op.target)
+
+
+MAX_DENSE_WIDTH = 8
+
+
+def exact_law(circuit: Circuit) -> np.ndarray:
+    """Law over basis indices of ``circuit`` run from |0...0>: the diagonal
+    of its density matrix, evolved op by op with no basis tracking.
+
+    X permutes rows and columns through ``apply_to_basis``; H is applied to
+    both sides of the matrix; reset is the channel that maps |1> to |0> on
+    its wire, summing the two diagonal blocks of that wire and dropping the
+    off-diagonal ones.  Every entry stays real.
+    """
+    if circuit.width > MAX_DENSE_WIDTH:
+        raise ValueError(f"width {circuit.width} is above the dense oracle's {MAX_DENSE_WIDTH}")
+    index = np.arange(1 << circuit.width)
+    rho = np.zeros((len(index), len(index)))
+    rho[0, 0] = 1.0
+    for op in circuit.ops:
+        bit = 1 << op.target
+        clear, set_ = index & ~bit, index | bit
+        if op.kind is GateKind.H:
+            sign = np.where(index & bit, -1.0, 1.0)
+            rho = (rho[clear] + sign[:, None] * rho[set_]) / np.sqrt(2)
+            rho = (rho[:, clear] + sign[None, :] * rho[:, set_]) / np.sqrt(2)
+        elif op.kind is GateKind.RESET:
+            kept = np.outer(index & bit == 0, index & bit == 0)
+            rho = np.where(kept, rho + rho[np.ix_(set_, set_)], 0.0)
+        else:
+            image = [apply_to_basis(op, i) for i in index.tolist()]
+            moved = np.empty_like(rho)
+            moved[np.ix_(image, image)] = rho
+            rho = moved
+    return np.diag(rho).copy()
 
 
 def extract_bits(basis_index: int, qubits: Iterable[int]) -> int:

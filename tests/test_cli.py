@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,46 @@ def test_failed_output_leaves_no_file(tmp_path, sample_pgm, capsys, monkeypatch)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists() and not report.exists() and not qasm.exists()
+
+
+def _gate_lines(text: str) -> int:
+    return sum(
+        not line.startswith(("//", "OPENQASM ", "include ", "qreg "))
+        for line in text.splitlines()
+    )
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_export_limit_is_the_ledgers_line_count(tmp_path, sample_pgm, capsys, monkeypatch, over):
+    """The ledger's lines, prep included, are the gate lines of the export;
+    one past the limit is refused before anything runs or is written."""
+    out, qasm = tmp_path / "out.pgm", tmp_path / "q.qasm"
+    argv = ["segment", "--input", sample_pgm, "--t", "2,4", "--export-qasm", qasm, "--out", out]
+    assert run_cli(*argv) == 0
+    lines = _gate_lines(qasm.read_text())
+    assert lines == 346
+    qasm.unlink()
+    out.unlink()
+    monkeypatch.setattr("neqrseg.cli.MAX_EXPORT_LINES", lines - over)
+    if over:
+        monkeypatch.setattr("neqrseg.cli.run_tracked", _refuse_build)
+    assert run_cli(*argv) == int(over)
+    err = capsys.readouterr().err
+    assert (f"would write {lines} gate lines, above its limit of {lines - 1}" in err) is over
+    assert out.exists() == qasm.exists() == (not over)
+
+
+def test_512x512_export_is_refused_up_front(tmp_path, capsys, monkeypatch):
+    rng = random.Random(512)
+    path = tmp_path / "big.pgm"
+    path.write_bytes(write_image_pgm(ImageGray(9, 8, tuple(rng.randrange(256) for _ in range(4**9)))))
+    monkeypatch.setattr("neqrseg.cli.run_tracked", _refuse_build)
+    monkeypatch.setattr("neqrseg.cli.export_circuit_text", _refuse_build)
+    out, qasm = tmp_path / "out.pgm", tmp_path / "big.qasm"
+    argv = ["--t", "64,128", "--export-qasm", qasm, "--out", out]
+    assert run_cli("segment", "--input", path, *argv) == 1
+    assert "above its limit of 33554432" in capsys.readouterr().err
+    assert not out.exists() and not qasm.exists()
 
 
 def _refuse_build(*args):

@@ -92,6 +92,7 @@ def test_pgm_accepts_bytes_and_str():
         ("P2\n2 2\n3\n0 0 0 x\n", "malformed pixel"),
         ("P2\n2 two\n3\n0 0 0 0\n", "malformed PGM header"),
         ("P2\n2 2\n", "truncated"),
+        ("P2", "truncated"),
         ("", "not a plain PGM"),
         # int() takes each of these; plain PGM numbers are ASCII [0-9]+ only
         pytest.param("P2 1 1 1 +1", "malformed pixel", id="sign"),

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +32,7 @@ from neqrseg import (
     sample_shots,
 )
 from neqrseg.tracked import apply_permutation
-from oracles import apply_to_basis, from_basis, insert_bits
+from oracles import apply_to_basis, exact_law, from_basis, insert_bits
 
 
 def test_apply_to_basis_refuses_non_permutations():
@@ -70,11 +72,14 @@ def test_prep_only_run_reproduces_the_image(sample_4x4):
     assert decode(result) == sample_4x4
 
 
-def test_h_outside_prep_is_refused():
+def test_h_outside_prep_fans_out():
     c = Circuit(2)
     c.h(0)
-    with pytest.raises(ValueError, match="statevector"):
-        run_tracked(c)
+    result = run_tracked(c)
+    assert result.branches.tolist() == [0b00, 0b01]
+    counts = Counter(result.branches.tolist())
+    law = {b: Fraction(k, len(result.branches)) for b, k in counts.items()}
+    assert law == {0b00: Fraction(1, 2), 0b01: Fraction(1, 2)}
 
 
 def test_h_after_a_held_prep_is_refused(sample_4x4):
@@ -84,20 +89,24 @@ def test_h_after_a_held_prep_is_refused(sample_4x4):
         run_tracked(c)
 
 
-def test_h_on_non_position_qubit_refused():
+def test_h_on_a_color_qubit_runs_and_decode_collides():
+    """The run is exact; two branches share position tag 00, which only
+    ``decode`` needs to be distinct."""
     layout = RegisterLayout(1, 2)
     c = Circuit(layout.width, layout)
     with c.stage("prep"):
         c.h(layout.color[0])
-    with pytest.raises(ValueError, match="position qubit"):
-        run_tracked(c)
+    result = run_tracked(c)
+    assert result.branches.tolist() == [0, 1 << layout.color[0]]
+    with pytest.raises(CollisionError, match="position tag 00"):
+        decode(result)
 
 
 def test_repeated_h_refused():
     c = Circuit(1)
     with c.stage("prep"):
         c.h(0).h(0)
-    with pytest.raises(ValueError, match="second H"):
+    with pytest.raises(ValueError, match=r"\|0> in every branch.*use the statevector backend"):
         run_tracked(c)
 
 
@@ -267,10 +276,12 @@ def assert_same_branches(circuit):
 
 @st.composite
 def fan_out_circuits(draw):
-    """A prep stage given as ops, fanning out on k wires, mostly X ops whose
-    controls cover every wire H'd so far (extra controls and polarities
-    drawn), broken up by arbitrary Xs and resets, some on an H'd wire; and
-    the basis state it starts from."""
+    """A fan-out on k wires, mostly X ops whose controls cover every wire
+    H'd so far (extra controls and polarities drawn), broken up by
+    arbitrary Xs and resets, some on an H'd wire; and the basis state it
+    starts from.  The first steps sit in a prep stage and the rest outside
+    any stage, and an H may follow a reset and a second H of a wire H'd
+    earlier."""
     if draw(st.booleans()):
         layout = RegisterLayout(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
         width, h_pool = layout.width, list(layout.position)
@@ -283,30 +294,40 @@ def fan_out_circuits(draw):
     wires = st.integers(0, width - 1)
     free = [w for w in range(width) if w not in h_wires]
     c = Circuit(width, layout)
+
+    def step(done):
+        split, pending = h_wires[:done], set(h_wires[done:])
+        if done:
+            if done > 1 and draw(st.booleans()):
+                again = draw(st.sampled_from(split[:-1]))
+                c.reset(again).h(again)
+            c.h(split[-1])
+        for _ in range(draw(st.integers(0, 8 if done == len(h_wires) else 2))):
+            kind = draw(st.sampled_from(["mcx"] * 6 + ["x", "reset"]))
+            if kind == "mcx" and free:
+                target = draw(st.sampled_from(free))
+                extra = draw(st.sets(st.sampled_from(free)))
+                controls = [
+                    Control(w, draw(st.booleans()))
+                    for w in (*split, *sorted(extra - {target}))
+                ]
+                c.append(GateOp(GateKind.X, target, tuple(draw(st.permutations(controls)))))
+                continue
+            target = draw(wires.filter(lambda w: w not in pending))
+            if kind == "reset":
+                c.reset(target)
+            else:
+                others = draw(st.sets(wires.filter(lambda w: w != target)))
+                c.append(GateOp(GateKind.X, target, tuple(
+                    Control(w, draw(st.booleans())) for w in sorted(others)
+                )))
+
+    in_prep = draw(st.integers(0, len(h_wires) + 1))
     with c.stage("prep"):
-        for done in range(len(h_wires) + 1):
-            split, pending = h_wires[:done], set(h_wires[done:])
-            if done:
-                c.h(split[-1])
-            for _ in range(draw(st.integers(0, 8 if done == len(h_wires) else 2))):
-                kind = draw(st.sampled_from(["mcx"] * 6 + ["x", "reset"]))
-                if kind == "mcx" and free:
-                    target = draw(st.sampled_from(free))
-                    extra = draw(st.sets(st.sampled_from(free)))
-                    controls = [
-                        Control(w, draw(st.booleans()))
-                        for w in (*split, *sorted(extra - {target}))
-                    ]
-                    c.append(GateOp(GateKind.X, target, tuple(draw(st.permutations(controls)))))
-                    continue
-                target = draw(wires.filter(lambda w: w not in pending))
-                if kind == "reset":
-                    c.reset(target)
-                else:
-                    others = draw(st.sets(wires.filter(lambda w: w != target)))
-                    c.append(GateOp(GateKind.X, target, tuple(
-                        Control(w, draw(st.booleans())) for w in sorted(others)
-                    )))
+        for done in range(in_prep):
+            step(done)
+    for done in range(in_prep, len(h_wires) + 1):
+        step(done)
     return c, initial
 
 
@@ -336,6 +357,58 @@ def test_runs_match_the_per_op_fold(circuit):
     """Op-built circuits and held images alike; the fold reads ``ops``, so a
     held image's prep is folded op by op."""
     assert_same_branches(circuit)
+
+
+@st.composite
+def h_anywhere_circuits(draw):
+    """Up to 14 ops at most ``MAX_DENSE_WIDTH`` wide: H on any wire, some
+    right after a reset of that wire, resets, and Xs with 0-3 controls of
+    drawn polarity.  The circuit is bare, laid out, or a held image (whose
+    H-free wires are the non-position ones); its ops fall into runs that sit
+    in a stage or outside any."""
+    shape = draw(st.sampled_from(["bare", "laid out", "held"]))
+    if shape == "bare":
+        c = Circuit(draw(st.integers(1, 5)))
+    else:
+        n, q = draw(st.sampled_from([(0, 1), (0, 2), (1, 1)]))
+        if shape == "laid out":
+            c = Circuit(RegisterLayout(n, q).width, RegisterLayout(n, q))
+        else:
+            pixels = draw(st.lists(st.integers(0, (1 << q) - 1), min_size=4**n, max_size=4**n))
+            c = build_preparation(ImageGray(n, q, tuple(pixels)))
+    wires = st.integers(0, c.width - 1)
+    ops = draw(st.lists(st.sampled_from(["h", "reset, h", "reset", "x"]), max_size=14))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=3)))
+    for k, (start, stop) in enumerate(zip([0, *cuts], [*cuts, len(ops)])):
+        with c.stage(f"run-{k}") if draw(st.booleans()) else contextlib.nullcontext():
+            for kind in ops[start:stop]:
+                target = draw(wires)
+                if kind == "x":
+                    others = draw(st.lists(wires.filter(lambda w: w != target), max_size=3, unique=True))
+                    c.append(GateOp(GateKind.X, target, tuple(
+                        Control(w, draw(st.booleans())) for w in others
+                    )))
+                    continue
+                if kind.startswith("reset"):
+                    c.reset(target)
+                if kind.endswith("h"):
+                    c.h(target)
+    return c
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(h_anywhere_circuits())
+def test_accepted_runs_have_the_exact_law(circuit):
+    """Every circuit ``run_tracked`` accepts has, over basis indices, the
+    law of a dense density-matrix run; the rest are refused for an H whose
+    wire is set in some branch."""
+    try:
+        result = run_tracked(circuit)
+    except ValueError as exc:
+        assert "|0> in every branch" in str(exc)
+        return
+    law = np.bincount(result.branches, minlength=1 << circuit.width) / len(result.branches)
+    np.testing.assert_allclose(law, exact_law(circuit), rtol=0, atol=1e-12)
 
 
 def test_x_on_a_position_wire_after_a_held_prep():
