@@ -5,10 +5,11 @@ genuinely quantum move is the reset: a projective measurement of the target
 qubit followed by a flip back to |0> on outcome 1, which collapses whatever
 the target was entangled with.  The state is stored as its support only:
 distinct int64 basis indices (qubit j is bit j) and complex amplitudes.  A
-permutation gate is the tracked backend's masked XOR
-(:func:`neqrseg.tracked.apply_permutation`), H splits each entry and merges
-partners, and a reset measures over the support.  A circuit holding an image
-starts at its preparation's support.
+permutation gate is one masked XOR over the indices
+(:func:`apply_permutation`); the spans between resets are a few ops long,
+too short to repay the tracked backend's bit planes.  H splits each entry
+and merges partners, and a reset measures over the support.  A circuit
+holding an image starts at its preparation's support.
 
 One walk of the reset tree serves both entry points, as Qiskit Aer's shot
 branching does, up to 62 qubits.  It goes level by level: every live
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp
-from .tracked import apply_permutation, check_tracked_width, start_branches
+from .tracked import check_tracked_width, start_branches
 
 NORM_TOL = 1e-10
 MAX_SHOTS = (1 << 63) - 1  # numpy's binomial and multinomial take int64 counts
@@ -53,6 +54,12 @@ class ShotRecord:
     bitstring: str
     count: int
     probability: float
+
+
+def apply_permutation(indices: np.ndarray, op: GateOp) -> np.ndarray:
+    """Flip the target in every index where ``index & op.mask == op.value``."""
+    fires = (indices & op.mask) == op.value
+    return indices ^ (fires.astype(np.int64) << op.target)
 
 
 def _reset_spans(ops: list[GateOp]) -> list[tuple[list[GateOp], GateOp | None]]:

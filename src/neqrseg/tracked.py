@@ -1,4 +1,4 @@
-"""Exact basis-tracked backend, and the sparse kernel both simulators share.
+"""Exact basis-tracked backend.
 
 Every branch stays a classical bit vector: H doubles the branches on a wire
 they all hold at 0, X/CNOT/TOFFOLI/MCX flip bits and RESET clears the target
@@ -7,14 +7,18 @@ array of basis indices, one per branch, with no sampling and no floating
 point; int64 is why widths above 62 qubits are refused.  That array is the
 result: :class:`BranchMap` holds it read-only, and every query reads
 positions and colors off it in one vectorised pass.  All branches weigh
-1/2^splits, so the weight is derived, never stored.  Each op carries its
-control mask and value (:class:`~neqrseg.circuit.GateOp`), and
-:func:`apply_permutation` applies a permutation gate to every index at once as
-one masked XOR.
+1/2^splits, so the weight is derived, never stored.
+
+Between Hs the walk holds each wire as a bit plane, one Python int whose
+bit ``i`` is the wire in branch ``i``: an X with k controls
+(:class:`~neqrseg.circuit.GateOp`) is k ANDs and one XOR of planes, and a
+reset zeroes its plane.  An H turns the planes back into the index array,
+fans it out, and the next op turns it into planes again.
 
 A circuit holding an image starts from its prep's outcome, one branch per
 label with the pixel in the color register (:func:`start_branches`), and
-never builds the prep's ops.
+never builds the prep's ops; :func:`run_tracked` says when it walks the
+image's colors instead of its branches.
 
 The equally weighted branches are the exact diagonal of the density matrix,
 the law of the final readout.  Permutations and resets map that diagonal to
@@ -38,12 +42,6 @@ MAX_TRACKED_WIDTH = 62
 
 class CollisionError(ValueError):
     pass
-
-
-def apply_permutation(indices: np.ndarray, op: GateOp) -> np.ndarray:
-    """Flip the target in every index where ``index & op.mask == op.value``."""
-    fires = (indices & op.mask) == op.value
-    return indices ^ (fires.astype(np.int64) << op.target)
 
 
 @dataclass(eq=False)
@@ -113,18 +111,40 @@ def start_branches(circuit: Circuit) -> np.ndarray:
     return np.arange(len(circuit.pixels), dtype=np.int64) | circuit.pixels << 2 * circuit.layout.n
 
 
-def run_tracked(circuit: Circuit) -> BranchMap:
-    """Track a circuit exactly from |0...0>, all branches at once.
+def _planes(branches: np.ndarray, width: int) -> list[int]:
+    """Each wire's bit plane: bit ``i`` of plane ``w`` is bit ``w`` of branch
+    ``i``.  Made one octet column of the little-endian indices at a time."""
+    octets = np.ascontiguousarray(branches, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    planes = []
+    for k in range((width + 7) // 8):
+        bits = np.unpackbits(octets[:, k], bitorder="little").reshape(-1, 8)
+        rows = np.packbits(bits.T, axis=1, bitorder="little")
+        planes += [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return planes[:width]
 
-    A held image's prep is not run: the branches start at its outcome.  H
-    is accepted on any wire that is |0> in every branch, wherever it sits;
-    anything else could interfere and belongs on the statevector backend.
-    """
-    check_tracked_width(circuit.width)
-    branches = start_branches(circuit)
-    for op in circuit.gates:
-        kind, target = op.kind, op.target
-        if kind is GateKind.H:
+
+def _branches(planes: list[int], count: int) -> np.ndarray:
+    """The int64 indices of ``count`` branches, back from their bit planes."""
+    octets, size = np.zeros((count, 8), dtype=np.uint8), (count + 7) // 8
+    for k in range(0, len(planes), 8):
+        rows = b"".join(p.to_bytes(size, "little") for p in planes[k : k + 8])
+        bits = np.unpackbits(
+            np.frombuffer(rows, dtype=np.uint8).reshape(-1, size),
+            axis=1, count=count, bitorder="little",
+        )
+        octets[:, k // 8] = np.packbits(bits, axis=0, bitorder="little")[0]
+    return octets.view("<i8").ravel().astype(np.int64, copy=False)
+
+
+def _walk(branches: np.ndarray, ops: list[GateOp], width: int) -> np.ndarray:
+    """Run ``ops`` over every branch.  X and reset act on the bit planes, an
+    X with k controls as k int ANDs; an H fans out the index array."""
+    planes = None
+    for op in ops:
+        target = op.target
+        if op.kind is GateKind.H:
+            if planes is not None:
+                branches, planes = _branches(planes, len(branches)), None
             bit = 1 << target
             if np.any(branches & bit):
                 raise ValueError(
@@ -132,9 +152,39 @@ def run_tracked(circuit: Circuit) -> BranchMap:
                     "use the statevector backend for this circuit"
                 )
             branches = np.column_stack((branches, branches | bit)).ravel()
-        elif kind is GateKind.RESET:
-            branches = branches & ~(1 << target)
-        else:
-            branches = apply_permutation(branches, op)
+            continue
+        if planes is None:
+            planes, full = _planes(branches, width), (1 << len(branches)) - 1
+        if op.kind is GateKind.RESET:
+            planes[target] = 0
+            continue
+        fire = full
+        for qubit, positive in op.controls:
+            fire &= planes[qubit] if positive else ~planes[qubit]
+        planes[target] ^= fire
+    return branches if planes is None else _branches(planes, len(branches))
+
+
+def run_tracked(circuit: Circuit) -> BranchMap:
+    """Track a circuit exactly from |0...0>, all branches at once.
+
+    A held image's prep is not run: the branches start at its outcome.  If
+    no stored op is an H or touches a position wire, each branch is its
+    label plus a function of its pixel, so with fewer colors than labels the
+    ops walk the 2^q colors once and each branch looks its pixel up in that
+    table.  H is accepted on any wire that is |0> in every branch, wherever
+    it sits; anything else could interfere and belongs on the statevector
+    backend.
+    """
+    check_tracked_width(circuit.width)
+    layout, pixels, ops = circuit.layout, circuit.pixels, circuit.gates
+    # With an image held, len(pixels) - 1 is the mask of the position wires.
+    if pixels is not None and 1 << layout.q < len(pixels) and not any(
+        op.kind is GateKind.H or (op.mask | 1 << op.target) & (len(pixels) - 1) for op in ops
+    ):
+        table = _walk(np.arange(1 << layout.q, dtype=np.int64) << 2 * layout.n, ops, circuit.width)
+        branches = np.arange(len(pixels), dtype=np.int64) | table[pixels]
+    else:
+        branches = _walk(start_branches(circuit), ops, circuit.width)
     branches.flags.writeable = False
     return BranchMap(circuit.width, branches, circuit.layout)

@@ -1,8 +1,8 @@
 """Reference helpers the tests check the library against.
 
 None of these is used by the library itself.  ``apply_to_basis`` applies one
-gate to one basis state, bit by bit, independently of the masked XOR both
-simulators share; ``extract_bits`` and ``insert_bits`` read and write a
+gate to one basis state, bit by bit, independently of either simulator's
+kernel; ``extract_bits`` and ``insert_bits`` read and write a
 register given its MSB-first wires; ``from_basis`` starts a circuit from a
 basis state other than |0...0>, since every simulator starts from |0...0>.
 ``prep_by_ops`` builds NEQR preparation as stored ops, the reference a held

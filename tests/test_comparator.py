@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from neqrseg import (
@@ -45,6 +46,21 @@ def test_comparator_truth_table_exhaustive(q):
         assert extract_bits(end, b) == b_val, (a_val, b_val)
         assert extract_bits(end, aux) == 0, (a_val, b_val)
         assert extract_bits(end, (y,)) == int(a_val < b_val), (a_val, b_val)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_comparator_on_every_operand_pair(q):
+    """All 4^q (a, b) pairs in one tracked run: an H on every operand wire
+    fans out, then the comparator runs over every branch."""
+    a, b, aux, y = default_wires(q)
+    circuit = Circuit(2 * q + 3)
+    for qb in (*a, *b):
+        circuit.h(qb)
+    branches = run_tracked(build_comparator(circuit, a, b, aux, y, stage="compare")).branches
+    assert np.array_equal(np.sort(branches & (1 << 2 * q) - 1), np.arange(1 << 2 * q))
+    a_val, b_val = extract_bits(branches, a), extract_bits(branches, b)
+    assert np.array_equal(extract_bits(branches, (y,)), a_val < b_val)
+    assert not extract_bits(branches, aux).any()
 
 
 @pytest.mark.parametrize("q", [1, 3])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neqrseg import (
     BranchMap,
@@ -31,7 +31,7 @@ from neqrseg import (
     run_tracked,
     sample_shots,
 )
-from neqrseg.tracked import apply_permutation
+from neqrseg.statevector import apply_permutation
 from oracles import apply_to_basis, exact_law, from_basis, insert_bits
 
 
@@ -359,6 +359,127 @@ def test_runs_match_the_per_op_fold(circuit):
     assert_same_branches(circuit)
 
 
+def every_octet_circuit():
+    """62 wires: two Hs give four branches, then an X on wire 61 with a
+    control in every octet, of both polarities, that fires in one of them;
+    a reset and a second H of wire 9 fan out to eight, and the walk goes on."""
+    c = Circuit(62)
+    c.x(0).x(16).h(9).h(17)
+    c.append(GateOp(GateKind.X, 61, (
+        pos(0), Control(8, False), pos(9), pos(16), pos(17),
+        *(Control(w, False) for w in range(24, 62, 8)),
+    )))
+    c.reset(9).h(9)
+    c.append(GateOp(GateKind.X, 60, (pos(61), Control(9, False))))
+    return c
+
+
+@st.composite
+def wide_circuits(draw):
+    """Bare circuits 1-62 wires wide from a drawn basis state: runs of Xs
+    with up to six mixed-polarity controls on any wire, and resets, each run
+    maybe followed by an H on a wire that is |0> in every branch, so the
+    walk runs, fans out and runs again on 1-16 branches."""
+    width = draw(st.integers(1, 62))
+    wires = st.integers(0, width - 1)
+    initial = draw(st.integers(0, (1 << width) - 1))
+    c = Circuit(width)
+    for qb in range(width):
+        if initial >> qb & 1:
+            c.x(qb)
+    clean = {qb for qb in range(width) if not initial >> qb & 1}
+    for _ in range(draw(st.integers(1, 5))):
+        for _ in range(draw(st.integers(0, 6))):
+            target = draw(wires)
+            if draw(st.integers(0, 4)) == 0:
+                c.reset(target)
+                clean.add(target)
+                continue
+            others = draw(st.lists(wires.filter(lambda w: w != target), max_size=6, unique=True))
+            c.append(GateOp(GateKind.X, target, tuple(
+                Control(w, draw(st.booleans())) for w in others
+            )))
+            clean.discard(target)
+        if clean and draw(st.booleans()):
+            wire = draw(st.sampled_from(sorted(clean)))
+            c.h(wire)
+            clean.discard(wire)
+    return c
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@example(every_octet_circuit())
+@given(wide_circuits())
+def test_wide_runs_match_the_per_op_fold(circuit):
+    assert_same_branches(circuit)
+
+
+@st.composite
+def held_table_circuits(draw):
+    """A held image with more labels than colors and stored Xs and resets
+    off the position wires; and the same ops with one more that is an H, or
+    that reads, writes or resets a position wire."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 2 * n - 1))
+    pixels = tuple(draw(st.lists(st.integers(0, (1 << q) - 1), min_size=4**n, max_size=4**n)))
+    width, p = RegisterLayout(n, q).width, 2 * n
+    off, anywhere = st.integers(p, width - 1), st.integers(0, width - 1)
+
+    def x(target, wires):
+        others = draw(st.lists(wires.filter(lambda w: w != target), max_size=4, unique=True))
+        return GateOp(GateKind.X, target, tuple(Control(w, draw(st.booleans())) for w in others))
+
+    ops = [
+        GateOp(GateKind.RESET, draw(off)) if draw(st.integers(0, 3)) == 0 else x(draw(off), off)
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    spoiler = draw(st.sampled_from(["h", "x on", "x read", "reset"]))
+    if spoiler == "h":  # right after prep, on a threshold, aux or result wire
+        spoiled = [GateOp(GateKind.H, draw(st.integers(p + q, width - 1))), *ops]
+    else:
+        at, wire = draw(st.integers(0, len(ops))), draw(st.integers(0, p - 1))
+        if spoiler == "x on":
+            extra = x(wire, anywhere)
+        elif spoiler == "reset":
+            extra = GateOp(GateKind.RESET, wire)
+        else:
+            read = x(draw(off), off)
+            extra = GateOp(GateKind.X, read.target, (Control(wire, draw(st.booleans())), *read.controls))
+        spoiled = [*ops[:at], extra, *ops[at:]]
+    circuits = []
+    for body in (ops, spoiled):
+        c = build_preparation(ImageGray(n, q, pixels))
+        for op in body:
+            c.append(op)
+        circuits.append(c)
+    return circuits
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(held_table_circuits())
+def test_held_images_match_the_per_op_fold_on_and_off_the_color_table(circuits):
+    """The first circuit walks its colors once, the second its branches."""
+    for circuit in circuits:
+        assert_same_branches(circuit)
+
+
+def test_every_default_ladder_segments_every_color():
+    """q 1-12 with 1-4 default thresholds, on an image holding every color in
+    a shuffled order and more labels than colors, so the run walks the color
+    table; all 45 pipelines in 2 s."""
+    rng = random.Random(12)
+    start = time.perf_counter()
+    for q in range(1, 13):
+        n = q // 2 + 1
+        colors = rng.sample(range(1 << q), 1 << q)
+        image = ImageGray(n, q, tuple(colors[i % len(colors)] for i in range(4**n)))
+        for count in range(1, min(4, (1 << q) - 1) + 1):
+            config = ThresholdConfig.with_default_levels(q, default_thresholds(q, count))
+            assert decode(run_tracked(build_pipeline(image, config))) == classical_segment(image, config)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"45 pipelines took {elapsed:.2f}s of their 2s budget"
+
+
 @st.composite
 def h_anywhere_circuits(draw):
     """Up to 14 ops at most ``MAX_DENSE_WIDTH`` wide: H on any wire, some
@@ -458,3 +579,17 @@ def test_256x256_segmentation_runs_within_its_budget():
     elapsed = time.perf_counter() - start
     assert result == classical_segment(image, config)
     assert elapsed < 1.0, f"build, run and decode took {elapsed:.2f}s of their 1s budget"
+
+
+def test_512x512_run_within_its_budget():
+    """The held image's 262,144 branches look their pixel up in a table of
+    256 colors, walked once."""
+    rng = random.Random(512)
+    image = ImageGray(9, 8, tuple(rng.randrange(256) for _ in range(4**9)))
+    config = ThresholdConfig.with_default_levels(8, (64, 128))
+    c = build_pipeline(image, config)
+    start = time.perf_counter()
+    result = run_tracked(c)
+    elapsed = time.perf_counter() - start
+    assert decode(result) == classical_segment(image, config)
+    assert elapsed < 0.05, f"run_tracked took {elapsed * 1e3:.1f}ms of its 50ms budget"
