@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -15,8 +16,7 @@ from .segmentation import (
     ThresholdConfig,
     build_pipeline,
     comparison_table,
-    default_thresholds,
-    reference_pipeline,
+    reference_cost,
 )
 from .statevector import MAX_SHOTS, ShotRecord, records_to_csv, sample_shots
 from .tracked import assert_no_collision, check_tracked_width, run_tracked
@@ -26,6 +26,7 @@ COST_SCHEMA = 2
 # Most gate lines --export-qasm writes, read off the ledger before anything runs:
 # a random 256x256 8-bit image exports 19M (363 MB), a 512x512 one would export 86M.
 MAX_EXPORT_LINES = 1 << 25
+_WRITE_SLICE = 1 << 20  # characters of text encoded per write
 _MAX_DIGITS = 4300  # int() refuses a longer decimal string
 _DECIMAL = rf"[0-9]{{1,{_MAX_DIGITS}}}"  # int() alone also takes a sign, "_" and any Unicode digit
 
@@ -160,18 +161,28 @@ def cmd_segment(args: argparse.Namespace) -> int:
             )
 
     # Build every output before writing any, so a failure leaves no file.
-    outputs = [(args.out, write_image_pgm(result))]
+    outputs: list[tuple[str, bytes | str]] = [(args.out, write_image_pgm(result))]
     if args.histogram is not None:
-        outputs.append((args.histogram, records_to_csv(records).encode()))
+        outputs.append((args.histogram, records_to_csv(records)))
     if args.cost_report is not None:
         payload = _cost_payload(ledger, image.q, len(config.thresholds))
-        report = json.dumps(payload, indent=2) + "\n"
-        outputs.append((args.cost_report, report.encode()))
+        outputs.append((args.cost_report, json.dumps(payload, indent=2) + "\n"))
     if args.export_qasm is not None:
-        outputs.append((args.export_qasm, export_circuit_text(circuit).encode()))
+        outputs.append((args.export_qasm, export_circuit_text(circuit)))
     for path, data in outputs:
-        Path(path).write_bytes(data)
+        _write(path, data)
     return 0
+
+
+def _write(path: str, data: bytes | str) -> None:
+    """Write ``data``; text is encoded a slice at a time, so an export of
+    hundreds of MB is never held as text and bytes at once."""
+    with open(path, "wb") as out:
+        if isinstance(data, bytes):
+            out.write(data)
+            return
+        for at in range(0, len(data), _WRITE_SLICE):
+            out.write(data[at : at + _WRITE_SLICE].encode())
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
@@ -186,13 +197,14 @@ def cmd_cost(args: argparse.Namespace) -> int:
         count = 2 if (1 << q) - 1 >= 2 else 1
     else:
         count = _int_option(args.thresholds, "--thresholds")
-    circuit = reference_pipeline(q, count)
-    payload = _cost_payload(quantum_cost(circuit), q, count)
+    payload = _cost_payload(reference_cost(q, count), q, count)
     print(json.dumps(payload, indent=2))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="neqrseg",
         description="Multi-threshold segmentation of NEQR-encoded images",

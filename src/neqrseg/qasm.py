@@ -138,7 +138,8 @@ def export_circuit_text(circuit: Circuit) -> str:
                     _positive_mcx(list(qubits), op.target, circuit.width)
                 )
             lines.extend((flank, ladder, flank) if flank else (ladder,))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 # the only header lines written, and the only ones the parser accepts

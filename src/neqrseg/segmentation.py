@@ -18,12 +18,13 @@ rewrites read that circuit's register layout.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, RegisterLayout, neg, pos
 from .comparator import build_comparator
-from .cost import quantum_cost
+from .cost import CostLedger, quantum_cost
 from .image import ImageGray, plain_ints
 from .neqr import build_preparation
 
@@ -220,11 +221,18 @@ def reference_pipeline(q: int, count: int = 2) -> Circuit:
     return build_pipeline(blank, config)
 
 
+@functools.cache
+def reference_cost(q: int, count: int) -> CostLedger:
+    """Ledger of ``reference_pipeline(q, count)``, built and costed once per
+    process.  The ledger is shared by every caller: read it, never change it."""
+    return quantum_cost(reference_pipeline(q, count))
+
+
 def comparison_table(q: int) -> list[ComparisonRow]:
     """Published costs at gray depth ``q``, ours last with its measured cost."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    ours_actual = quantum_cost(reference_pipeline(q)).actual_cost if q > 1 else None
+    ours_actual = reference_cost(q, 2).actual_cost if q > 1 else None
     return [
         ComparisonRow("IS", 1, 3 * q - 1, 127 * q - 91, 2),
         ComparisonRow("NMQCIS", 1, 18, 48 * q - 6, 2),

@@ -17,7 +17,8 @@ from neqrseg import (
     reference_pipeline,
     write_image_pgm,
 )
-from neqrseg.cli import _int_option, _majority_image, _parse_value_list, main
+from neqrseg import segmentation
+from neqrseg.cli import _int_option, _majority_image, _parse_value_list, build_parser, main
 from neqrseg.statevector import ShotRecord
 from conftest import SEGMENTED_4X4
 
@@ -305,6 +306,22 @@ def test_module_invocation_smoke():
     assert json.loads(proc.stdout)["paperTotal"] == 174
 
 
+def test_import_builds_no_parser_and_no_ledger():
+    """Both caches fill on first use, so importing the package costs nothing more."""
+    src = str(Path(neqrseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    check = (
+        "import neqrseg, neqrseg.cli as c; "
+        "assert c.build_parser.cache_info().currsize == 0; "
+        "assert c.reference_cost.cache_info().currsize == 0"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_failed_output_leaves_no_file(tmp_path, sample_pgm, capsys, monkeypatch):
     def fail(circuit):
         raise ValueError("export failed")
@@ -370,7 +387,7 @@ def _refuse_build(*args):
 
 @pytest.mark.parametrize("q,refused", [(2045, False), (2046, True), (10**12, True)])
 def test_cost_refuses_q_too_wide_to_export_before_building(capsys, monkeypatch, q, refused):
-    monkeypatch.setattr("neqrseg.cli.reference_pipeline", _refuse_build)
+    monkeypatch.setattr("neqrseg.cli.reference_cost", _refuse_build)
     monkeypatch.setattr("neqrseg.cli.build_pipeline", _refuse_build)
     assert run_cli("cost", "--q", q) == 1
     err = capsys.readouterr().err
@@ -383,7 +400,7 @@ def test_cost_refuses_q_too_wide_to_export_before_building(capsys, monkeypatch, 
 def test_segment_refuses_an_image_too_wide_before_building(
     tmp_path, capsys, monkeypatch, backend, q, refused
 ):
-    monkeypatch.setattr("neqrseg.cli.reference_pipeline", _refuse_build)
+    monkeypatch.setattr("neqrseg.cli.reference_cost", _refuse_build)
     monkeypatch.setattr("neqrseg.cli.build_pipeline", _refuse_build)
     path = tmp_path / "in.pgm"
     path.write_text(f"P2\n1 1\n{(1 << q) - 1}\n0\n")  # width 2q + 4
@@ -410,3 +427,94 @@ def test_segment_never_builds_the_prep_ops(tmp_path, sample_pgm, monkeypatch, ba
     assert run_cli("segment", "--input", sample_pgm, *argv) == 0
     assert read_image_pgm(out.read_bytes()) == ImageGray(2, 3, SEGMENTED_4X4)
     assert json.loads(report.read_text())["perStage"]["prep"]["toffoli"] > 0
+
+
+def _clear_caches():
+    build_parser.cache_clear()
+    segmentation.reference_cost.cache_clear()
+
+
+@pytest.fixture
+def cleared_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def _counting_builds(monkeypatch) -> list[tuple]:
+    """Record the arguments of every reference pipeline the cost cache builds."""
+    built = []
+    original = segmentation.reference_pipeline
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(segmentation, "reference_pipeline", counted)
+    return built
+
+
+@pytest.mark.parametrize("extra,builds", [([], [(5, 2)]), (["--thresholds", "3"], [(5, 3), (5, 2)])])
+def test_cost_command_builds_each_reference_circuit_once(
+    capsys, monkeypatch, cleared_caches, extra, builds
+):
+    built = _counting_builds(monkeypatch)
+    assert run_cli("cost", "--q", "5", *extra) == 0
+    assert built == builds
+    first = capsys.readouterr().out
+    assert run_cli("cost", "--q", "5", *extra) == 0
+    assert built == builds
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("q,count", [(3, 2), (8, 2), (5, 3), (1, 1)])
+def test_cached_ledger_is_a_fresh_ledger(capsys, cleared_caches, q, count):
+    """Cost commands and cost reports share the cached ledger and leave it
+    as a fresh build costs it."""
+    assert run_cli("cost", "--q", q, "--thresholds", count) == 0
+    assert run_cli("cost", "--q", q, "--thresholds", count) == 0
+    first, second = capsys.readouterr().out.split("\n}\n", 1)
+    assert json.loads(first + "}") == json.loads(second)
+    fresh = quantum_cost(reference_pipeline(q, count))
+    assert segmentation.reference_cost(q, count) == fresh
+    assert json.loads(second)["actualCost"] == fresh.actual_cost
+
+
+def test_cli_main_runs_agree_with_fresh_caches(
+    tmp_path, sample_pgm, capsys, monkeypatch, cleared_caches
+):
+    """Each call of a sequence in one process writes what it writes after
+    both caches are cleared: q 3, 8 and 3 again, levels given and omitted,
+    both backends, and an argparse error in between."""
+    rng = random.Random(8)
+    deep = tmp_path / "deep.pgm"
+    deep.write_bytes(write_image_pgm(ImageGray(2, 8, tuple(rng.randrange(256) for _ in range(16)))))
+    shallow = sample_pgm
+    report = ["--out", "out.pgm", "--cost-report", "cost.json"]
+    calls = [
+        ["segment", "--input", shallow, "--t", "2,4", "--levels", "1,3,6", *report,
+         "--export-qasm", "c.qasm"],
+        ["segment", "--input", deep, "--t", "64,128", "--levels", "0,100,255", *report],
+        ["segment", "--input", deep, "--t-low", "64", "--out", "bad.pgm"],
+        ["segment", "--input", deep, "--t", "64,128", *report],
+        ["cost", "--q", "8"],
+        ["segment", "--input", shallow, "--t", "2,4", "--backend", "statevector",
+         "--shots", "512", "--seed", "3", "--histogram", "h.csv", *report],
+        ["segment", "--input", shallow, "--t", "2,4", *report],
+    ]
+
+    def call(argv, where):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+        return code, capsys.readouterr(), files
+
+    in_sequence = [call(argv, tmp_path / f"seq{i}") for i, argv in enumerate(calls)]
+    assert [code for code, _, _ in in_sequence] == [0, 0, 2, 0, 0, 0, 0]
+    for i, argv in enumerate(calls):
+        _clear_caches()
+        assert call(argv, tmp_path / f"fresh{i}") == in_sequence[i]
